@@ -320,7 +320,7 @@ class KernelProfiler:
 
     # -- hot-path recording (called from the event loop) -----------------
     # The per-event bookkeeping itself lives inline in
-    # Environment._step_profiled / _step_timed / _step_callbacks_timed —
+    # Environment.step / _step_timed / _step_callbacks_timed —
     # method-call overhead there would blow the <5% budget.  Only the
     # sampled, amortised entry points live here.
     def record_callback(self, callback, ns):

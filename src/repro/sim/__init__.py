@@ -27,7 +27,6 @@ of the same model always produce identical traces.
 from repro.sim.environment import (
     Environment,
     active_kernel_profiler,
-    set_event_pooling,
     set_kernel_profiler,
 )
 from repro.sim.events import (
@@ -75,6 +74,5 @@ __all__ = [
     "Timeout",
     "URGENT",
     "active_kernel_profiler",
-    "set_event_pooling",
     "set_kernel_profiler",
 ]

@@ -28,12 +28,6 @@ from repro.sim.exceptions import EmptySchedule, SimulationError
 #: the event loop takes its unobserved fast path.
 _KERNEL_PROFILER = None
 
-#: Process-global toggle for the Timeout/Initialize free-list pools.
-#: Captured per-environment at construction (like the profiler slot) so
-#: the equivalence suite can run the same model with pooling on and off
-#: and compare trajectories byte for byte.
-_POOLING = True
-
 #: Agenda keys pack ``(priority, sequence)`` into one integer:
 #: ``(priority << _PRIORITY_SHIFT) | seq``.  With priorities limited to
 #: URGENT (0) and NORMAL (1) and the monotone sequence far below 2**56
@@ -73,22 +67,6 @@ def set_kernel_profiler(profiler):
 def active_kernel_profiler():
     """The currently installed process-global kernel profiler, if any."""
     return _KERNEL_PROFILER
-
-
-def set_event_pooling(enabled):
-    """Enable/disable event pooling for environments created afterwards.
-
-    Returns the previous setting so callers can restore it.  Pooling
-    recycles :class:`Timeout` and :class:`Initialize` instances through
-    per-environment free lists; an event is recycled only when, at
-    processing time, the event loop holds the sole remaining reference
-    (``sys.getrefcount == 2`` — the loop local plus the probe argument),
-    so pooled reuse is invisible to any code that kept a handle.
-    """
-    global _POOLING
-    previous = _POOLING
-    _POOLING = bool(enabled)
-    return previous
 
 
 class _StopSimulation(Exception):
@@ -161,9 +139,6 @@ class Environment:
         #: recording site guards on it (hot components snapshot it at
         #: construction), so decisions cost nothing when disabled.
         self.decisions = None
-        #: Whether this environment recycles Timeout/Initialize events
-        #: (captured from the process-global toggle at construction).
-        self._pooling = _POOLING
         self._free_timeouts = []
         self._free_inits = []
         #: Optional :class:`repro.obs.kernelprof.KernelProfiler`
@@ -329,7 +304,8 @@ class Environment:
     def _recycle(self, event):
         """Return a just-processed event to its free list when safe.
 
-        An event is recycled only when the step machinery holds the sole
+        :meth:`timeout` and :meth:`kick` reuse what lands there.  An
+        event is recycled only when the step machinery holds the sole
         surviving references: from this frame the count is exactly 3 —
         the caller's local, this function's argument, and the probe
         argument (the inlined run loops use 2: loop local + probe).
@@ -340,11 +316,11 @@ class Environment:
         """
         cls = event.__class__
         if cls is Timeout:
-            if self._pooling and getrefcount(event) == 3:
+            if getrefcount(event) == 3:
                 event._value = None
                 self._free_timeouts.append(event)
         elif cls is Initialize:
-            if self._pooling and getrefcount(event) == 3:
+            if getrefcount(event) == 3:
                 self._free_inits.append(event)
         elif not event._ok and not event._defused:
             # An unhandled failure: surface it so bugs don't pass silently.
@@ -353,13 +329,23 @@ class Environment:
     def step(self):
         """Process the next scheduled event.
 
+        Under the kernel self-profiler the common case pays only a
+        countdown decrement; when the countdown expires the step is
+        taken by :meth:`_step_sampled` instead.  The profiler only reads
+        host clocks and updates its own tallies, so the simulated
+        trajectory is the same either way.
+
         Raises
         ------
         EmptySchedule
             If no events remain.
         """
-        if self.kernel_profiler is not None:
-            return self._step_profiled()
+        kp = self.kernel_profiler
+        if kp is not None:
+            k = kp._countdown - 1
+            if k <= 0:
+                return self._step_sampled(kp)
+            kp._countdown = k
         try:
             self._now, _, event = heappop(self._queue)
         except IndexError:
@@ -388,54 +374,10 @@ class Environment:
             callbacks[n](event)
         self._recycle(event)
 
-    def _step_profiled(self):
-        """:meth:`step` with the kernel self-profiler's measurements.
-
-        Identical event semantics to the unprofiled path — the profiler
-        only reads host clocks and updates its own tallies, so the
-        simulated trajectory is byte-identical either way.
-
-        The common case pays only a countdown decrement: all per-type
-        attribution is *sampled*, because even one dict operation per
-        event costs a measurable fraction of the cheapest whole events.
-        When the countdown expires, the event lands in one of two
-        alternating sample streams — a step-timed stream (pop + dispatch
-        clocked, attributed to the event's type; agenda depth observed)
-        and a callback-timed stream (each callback clocked individually
-        for callsite attribution) — kept separate so clock reads never
-        pollute each other.  Gaps between samples are drawn from a
-        deterministic PRNG so periodic event patterns (ubiquitous in a
-        DES) cannot alias with a fixed sampling grid.  Exact totals come
-        from elsewhere: events from ``events_processed`` deltas, pushes
-        from heap accounting, loop time from :meth:`run`'s clocks.
-        """
-        kp = self.kernel_profiler
-        k = kp._countdown - 1
-        if k <= 0:
-            return self._step_sampled(kp)
-        kp._countdown = k
-        try:
-            self._now, _, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule("no scheduled events") from None
-        self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        n = len(callbacks)
-        if n == 1:
-            callbacks[0](event)
-        elif n:
-            self._tail_ok = False
-            n -= 1
-            for callback in callbacks[:n]:
-                callback(event)
-            self._tail_ok = True
-            callbacks[n](event)
-        self._recycle(event)
-
     def _run_profiled(self):
         """The :meth:`run` event loop with the profiler's fast path inlined.
 
-        Semantically one ``while True: self._step_profiled()`` loop, but
+        Semantically one ``while True: self.step()`` loop, but
         with the common (countdown-only) case written inline and the
         countdown held in a local.  That removes a per-event method call
         and the profiler attribute loads — the difference between the
@@ -447,7 +389,6 @@ class Environment:
         queue = self._queue
         pop = heappop
         refs = getrefcount
-        pooling = self._pooling
         free_timeouts = self._free_timeouts
         free_inits = self._free_inits
         timeout_cls = Timeout
@@ -480,11 +421,11 @@ class Environment:
                     callbacks[n](event)
                 cls = event.__class__
                 if cls is timeout_cls:
-                    if pooling and refs(event) == 2:
+                    if refs(event) == 2:
                         event._value = None
                         free_timeouts.append(event)
                 elif cls is init_cls:
-                    if pooling and refs(event) == 2:
+                    if refs(event) == 2:
                         free_inits.append(event)
                 elif not event._ok and not event._defused:
                     raise event._value
@@ -492,7 +433,19 @@ class Environment:
             kp._countdown = k
 
     def _step_sampled(self, kp):
-        """One sampled step: draw the next gap, alternate the streams."""
+        """One sampled step: draw the next gap, alternate the streams.
+
+        All per-type attribution is *sampled*, because even one dict
+        operation per event costs a measurable fraction of the cheapest
+        whole events.  A sampled event lands in one of two alternating
+        streams — a step-timed stream (pop + dispatch clocked,
+        attributed to the event's type; agenda depth observed) and a
+        callback-timed stream (each callback clocked individually for
+        callsite attribution) — kept separate so clock reads never
+        pollute each other.  Exact totals come from elsewhere: events
+        from ``events_processed`` deltas, pushes from heap accounting,
+        loop time from :meth:`run`'s clocks.
+        """
         # Deterministic 31-bit LCG (glibc constants — small ints keep
         # the arithmetic cheap): randomised gaps mean a model whose
         # event stream repeats with period p can never line up with the
@@ -512,9 +465,9 @@ class Environment:
     def _step_timed(self, kp):
         """Sampled step: time pop + dispatch, charge the event's type.
 
-        Sampled steps skip the free-list recycle on purpose: they are
-        one step in thousands, so skipping keeps them identical to the
-        pre-pooling code path and the timing attribution clean.
+        Sampled steps skip the free-list recycle: they are one step in
+        thousands, so the lost reuse is negligible, and leaving it out
+        keeps the timing attribution clean.
         """
         depth = len(self._queue)  # pre-pop agenda depth
         if not depth:
@@ -647,7 +600,7 @@ class Environment:
 
         Semantically ``while True: self.step()``, with every per-event
         attribute load hoisted into a local: the heap, ``heappop``,
-        the free lists, the pooling flag and the class probes.  The
+        the free lists and the class probes.  The
         events-processed counter is accumulated locally and flushed in
         the ``finally`` (exactly once per consumed event, even when a
         callback raises); nothing reads it mid-loop when the profiler
@@ -656,7 +609,6 @@ class Environment:
         queue = self._queue
         pop = heappop
         refs = getrefcount
-        pooling = self._pooling
         free_timeouts = self._free_timeouts
         free_inits = self._free_inits
         timeout_cls = Timeout
@@ -682,11 +634,11 @@ class Environment:
                     callbacks[ncb](event)
                 cls = event.__class__
                 if cls is timeout_cls:
-                    if pooling and refs(event) == 2:
+                    if refs(event) == 2:
                         event._value = None
                         free_timeouts.append(event)
                 elif cls is init_cls:
-                    if pooling and refs(event) == 2:
+                    if refs(event) == 2:
                         free_inits.append(event)
                 elif not event._ok and not event._defused:
                     raise event._value
@@ -698,12 +650,15 @@ class Environment:
 
         Returns the number of events processed during this call.  A
         ``max_events`` bound turns runaway models into a diagnosable
-        :class:`SimulationError` instead of a hang.  The bound is exact:
-        at most ``max_events`` events are processed before raising.
+        :class:`SimulationError` instead of a hang.  The bound is checked
+        before every step, so a model without direct handoffs stops
+        after exactly ``max_events`` events; a step whose callbacks hand
+        off further completions (see :meth:`handoff`) can carry the
+        count past the bound by those.
         """
         start = self.events_processed
         kp = self.kernel_profiler
-        step = self.step if kp is None else self._step_profiled
+        step = self.step
         t0 = perf_counter_ns() if kp is not None else 0
         try:
             while self._queue:

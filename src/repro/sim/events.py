@@ -156,7 +156,7 @@ class Initialize(Event):
 
     Used to start freshly created processes and to kick callback-driven
     state machines (see :meth:`Environment.kick`).  Instances are pooled
-    by the environment when pooling is enabled.
+    by the environment (see :meth:`Environment._recycle`).
     """
 
     __slots__ = ()

@@ -4,15 +4,13 @@ The hot-path speed pass (packed agenda keys, pooled Timeout/Initialize
 events, lazy resource tombstones, callback-based packet walkers) must be
 *observably free*: every test here pins behaviour that the optimisations
 could plausibly have changed — agenda ordering, event-object lifecycle,
-eviction choices — and the equivalence tests assert that a full model
-run serialises byte-identically with pooling on and off.
+eviction choices, profiled stepping.  Whole-model trajectories are
+pinned by the golden run documents in ``tests/test_golden_documents.py``.
 """
-
-import dataclasses
-import json
 
 import pytest
 
+from repro.obs.kernelprof import kernel_profile
 from repro.sim import (
     Environment,
     Event,
@@ -20,16 +18,7 @@ from repro.sim import (
     PreemptiveResource,
     SimulationError,
     Timeout,
-    set_event_pooling,
 )
-
-
-@pytest.fixture
-def pooling_restored():
-    """Restore the process-global pooling flag after the test."""
-    previous = set_event_pooling(True)
-    yield
-    set_event_pooling(previous)
 
 
 # -- agenda ordering under the packed key --------------------------------
@@ -76,7 +65,7 @@ def test_mixed_delays_and_priorities_interleave_deterministically():
 
 
 # -- pooled event lifecycle ----------------------------------------------
-def test_timeouts_are_recycled_and_reused(pooling_restored):
+def test_timeouts_are_recycled_and_reused():
     env = Environment()
 
     def ticker(env):
@@ -95,7 +84,7 @@ def test_timeouts_are_recycled_and_reused(pooling_restored):
     assert again.callbacks == [] and not again.processed
 
 
-def test_referenced_timeouts_are_not_recycled(pooling_restored):
+def test_referenced_timeouts_are_not_recycled():
     """A Timeout the model still holds must never be reset under it."""
     env = Environment()
     held = env.timeout(1.0)
@@ -104,21 +93,7 @@ def test_referenced_timeouts_are_not_recycled(pooling_restored):
     assert held.ok and held.processed
 
 
-def test_pooling_disabled_allocates_fresh_events(pooling_restored):
-    set_event_pooling(False)
-    env = Environment()
-
-    def ticker(env):
-        for _ in range(10):
-            yield env.timeout(1.0)
-
-    env.process(ticker(env))
-    env.run_all()
-    assert env._free_timeouts == []
-    assert env._free_inits == []
-
-
-def test_pooled_timeout_still_validates_delay(pooling_restored):
+def test_pooled_timeout_still_validates_delay():
     env = Environment()
 
     def ticker(env):
@@ -219,43 +194,84 @@ def test_mass_cancellation_compacts_the_queue():
     assert len(granted) == 1 and granted[0] is waiters[48]
 
 
-# -- pooling on/off equivalence (whole-model) ----------------------------
-def _figure_cell_doc():
-    from repro.experiments import ExperimentScale, run_cell
+# -- profiled stepping ------------------------------------------------------
+def _stepping_model(env, log):
+    """Workers that fork children, join them and wait on shared timers.
 
-    scale = ExperimentScale(
-        "tiny", num_small=2, num_large=1,
-        matmul_small=16, matmul_large=32,
-        sort_small=256, sort_large=512,
-        partition_sizes=(1, 4), topologies=("linear",),
-    )
-    cell = run_cell(3, "matmul", "fixed", 4, "linear", "timesharing", scale)
-    return json.dumps(dataclasses.asdict(cell), sort_keys=True)
+    Children terminating while their parent waits complete by direct
+    handoff; the join conditions and the two-callback timers exercise
+    the multi-callback dispatch branch.
+    """
+    def child(env, i, j):
+        yield env.timeout(0.25 * (j + 1))
+        log.append((env.now, "child", i, j))
 
+    def worker(env, i):
+        for j in range(3):
+            yield env.all_of([env.process(child(env, i, j)),
+                              env.process(child(env, i, j + 1))])
+            log.append((env.now, "joined", i, j))
+            tick = env.timeout(1.0 + 0.1 * i)
+            tick.callbacks.append(lambda e, i=i: log.append(
+                (env.now, "tick", i)))
+            yield tick
 
-def _steady_smoke_doc():
-    from repro.experiments.steady import steady_cell
-
-    result = steady_cell("static", rate=4.0, duration=30.0, nodes=4, seed=3)
-    doc = {
-        "arrived": result.jobs_arrived,
-        "completed": result.jobs_completed,
-        "mean": result.mean_response_time,
-        "steady": result.steady,
-        "summary": result.summary,
-    }
-    return json.dumps(doc, sort_keys=True, default=repr)
+    for i in range(6):
+        env.process(worker(env, i))
 
 
-@pytest.mark.parametrize("doc_fn", [_figure_cell_doc, _steady_smoke_doc],
-                         ids=["figure3-cell", "steady-smoke"])
-def test_pooling_on_off_documents_are_byte_identical(doc_fn,
-                                                     pooling_restored):
-    """Event pooling is a pure allocation strategy: a closed figure-3
-    cell and an open steady-state run must serialise byte-for-byte the
-    same with pooling on and off."""
-    set_event_pooling(True)
-    with_pooling = doc_fn()
-    set_event_pooling(False)
-    without_pooling = doc_fn()
-    assert with_pooling == without_pooling
+def _run_stepping_model(method):
+    """Run the stepping model with ``run`` or ``run_all``; return the
+    trajectory and the environment's exact event and handoff totals."""
+    env = Environment()
+    log = []
+    _stepping_model(env, log)
+    getattr(env, method)()
+    return log, env.events_processed, env.handoffs
+
+
+@pytest.mark.parametrize("sample_every", [1, 5, 1000])
+def test_profiled_run_all_matches_run(sample_every):
+    """``run_all`` steps through :meth:`Environment.step`, whose
+    profiled branch must give the same trajectory and the same exact
+    event, pop and handoff totals as ``run``'s inlined profiled loop —
+    whether every step is sampled (1), most are (5) or almost none
+    are (1000)."""
+    plain = _run_stepping_model("run")
+    with kernel_profile(sample_every=sample_every) as by_run:
+        assert _run_stepping_model("run") == plain
+    with kernel_profile(sample_every=sample_every) as by_run_all:
+        assert _run_stepping_model("run_all") == plain
+    _log, events, handoffs = plain
+    assert handoffs > 0  # the handoff path is part of what is compared
+    for kp in (by_run, by_run_all):
+        assert (kp.pops, kp.handoffs) == (events, handoffs)
+    assert by_run.pushes == by_run_all.pushes
+
+
+@pytest.mark.parametrize("sample_every", [1, 5])
+def test_run_all_max_events_bound_unchanged_when_profiled(sample_every):
+    """The bound is checked before every step, profiled or not: a
+    handoff-free model stops after exactly ``max_events`` events, and a
+    model with handoffs stops at the same count either way."""
+    def ticker(env):
+        while True:
+            yield env.timeout(1.0)
+
+    def stop_after(model, bound):
+        env = Environment()
+        model(env)
+        with pytest.raises(SimulationError, match=f"exceeded {bound} "):
+            env.run_all(max_events=bound)
+        return env.events_processed
+
+    def workers(env):
+        _stepping_model(env, [])
+
+    bounds = range(60, 90)
+    plain = [stop_after(workers, n) for n in bounds]
+    with kernel_profile(sample_every=sample_every) as kp:
+        assert stop_after(lambda env: env.process(ticker(env)), 25) == 25
+        profiled = [stop_after(workers, n) for n in bounds]
+    assert profiled == plain
+    assert kp.pops == 25 + sum(profiled)
