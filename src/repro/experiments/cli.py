@@ -42,7 +42,7 @@ from repro.experiments.runner import run_figure
 from repro.obs import kernelprof
 
 
-def _parse_args(argv):
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the figures and ablations of Chan, "
@@ -256,6 +256,11 @@ def _parse_args(argv):
         "--validate", action="store_true",
         help="run the closed-form validation report",
     )
+    return parser
+
+
+def _parse_args(argv):
+    parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command in ("profile", "hotspots", "decisions") and \
             args.figure is None:
@@ -618,7 +623,7 @@ def _run_decisions(args, out=None):
     """
     out = out or sys.stdout
     from repro.obs import (
-        DecisionsLog,
+        SegmentLog,
         check_decomposition,
         decision_table,
         format_decision_table,
@@ -674,10 +679,10 @@ def _run_decisions(args, out=None):
             fh.write(grid_to_csv(all_cells))
         _artifact(out, args.csv, "csv", f"{len(all_cells)} grid cells")
     if args.decisions_out:
-        log = DecisionsLog(args.decisions_out)
+        log = SegmentLog(args.decisions_out, "repro-decisions/1")
         try:
             for figure, label, policy, led in entries:
-                log.write_segment(led, figure=figure, label=label,
+                led.write_segment(log, figure=figure, label=label,
                                   policy=policy)
         finally:
             log.close()
@@ -721,9 +726,9 @@ def _run_steady(args, out=None):
                              f"{sorted(POLICIES)}")
     log = None
     if args.steady_out:
-        from repro.obs.steadylog import SteadyLog
+        from repro.obs import SegmentLog
 
-        log = SteadyLog(args.steady_out)
+        log = SegmentLog(args.steady_out, "repro-steady/1")
     start = time.time()
 
     def progress(row):

@@ -7,10 +7,16 @@ The observability layer of the reproduction.  Enable it per run with
 Perfetto/Chrome trace (:func:`write_perfetto`) or a flat JSONL stream
 (:func:`write_jsonl`).
 
-Steady-state observability (:mod:`repro.obs.streaming` /
-:mod:`repro.obs.steadylog`) covers open-system runs at 10⁶–10⁷ jobs:
-O(1)-memory online aggregates, MSER warm-up truncation, batch-means
-confidence intervals, and a windowed ``repro-steady/1`` JSONL stream.
+Steady-state observability (:mod:`repro.obs.streaming`) covers
+open-system runs at 10⁶–10⁷ jobs: O(1)-memory online aggregates, MSER
+warm-up truncation, batch-means confidence intervals, and a windowed
+``repro-steady/1`` JSONL stream.
+
+The three streamed artifacts — ``repro-steady/1`` windows,
+``repro-sweep/1`` sweep lifecycle and ``repro-decisions/1`` scheduler
+why-records — share one segmented grammar, written by
+:class:`SegmentLog` and read back by :func:`read_segments`
+(:mod:`repro.obs.schemas`).
 
 Instrumentation is zero-cost when disabled: the environment's
 ``telemetry`` attribute stays ``None`` and every site guards on it, and
@@ -21,13 +27,11 @@ telemetry cannot perturb simulated time.
 
 from repro.obs.decisions import (
     DecisionLedger,
-    DecisionsLog,
     attach_ledger,
     check_decomposition,
     decision_table,
     format_decision_table,
     queued_decomposition,
-    read_decisions_log,
 )
 from repro.obs.diff import (
     DiffResult,
@@ -80,13 +84,14 @@ from repro.obs.profile import (
 from repro.obs.schemas import (
     REGISTRY,
     SchemaEntry,
+    SegmentLog,
     check_schema,
     load_document,
+    read_segments,
     register_schema,
     schema_ids,
     sniff_schema,
 )
-from repro.obs.steadylog import SteadyLog, read_steady_log
 from repro.obs.streaming import (
     BatchSeries,
     OnlineStats,
@@ -113,7 +118,6 @@ from repro.obs.sweeplog import (
     MultiObserver,
     SweepLog,
     SweepObserver,
-    read_sweep_log,
 )
 from repro.obs.telemetry import Telemetry, attach, registry_of
 
@@ -122,7 +126,6 @@ __all__ = [
     "BatchSeries",
     "Counter",
     "DecisionLedger",
-    "DecisionsLog",
     "CpSegment",
     "CriticalPath",
     "DEFAULT_BOUNDARIES",
@@ -146,8 +149,8 @@ __all__ = [
     "RunBundle",
     "STEADY_BOUNDARIES",
     "SchemaEntry",
+    "SegmentLog",
     "Span",
-    "SteadyLog",
     "SteadyStateSink",
     "SteadyWindow",
     "SweepLog",
@@ -164,7 +167,6 @@ __all__ = [
     "diff_runs",
     "format_diff_report",
     "load_run_bundle",
-    "read_sweep_log",
     "collapsed_lines",
     "format_decision_table",
     "format_kernelprof",
@@ -185,8 +187,7 @@ __all__ = [
     "profile_events",
     "profile_run",
     "register_phase",
-    "read_decisions_log",
-    "read_steady_log",
+    "read_segments",
     "register_schema",
     "registry_of",
     "schema_ids",

@@ -31,18 +31,17 @@ that produced it, using the same time-axis-partition discipline as the
 profiler, with the segment widths summing back to the bucket exactly
 (the final segment is assigned the residual).
 
-Records stream to a ``repro-decisions/1`` JSONL via
-:class:`DecisionsLog` / :func:`read_decisions_log` (same multi-segment
-grammar as the steady log).
+Records stream to a ``repro-decisions/1`` JSONL, one segment per run
+via :meth:`DecisionLedger.write_segment`, in the segmented grammar of
+:class:`~repro.obs.schemas.SegmentLog` /
+:func:`~repro.obs.schemas.read_segments`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 from repro.obs.metrics import Histogram
-from repro.obs.schemas import check_schema
 from repro.trace.recorder import TraceRecorder
 
 #: Decisions-stream schema identifier; bump on incompatible changes.
@@ -114,6 +113,15 @@ class DecisionLedger:
         """``[(layer, kind, reason, n), ...]`` sorted for stable output."""
         return [(l, k, r, n)
                 for (l, k, r), n in sorted(self.counts.items())]
+
+    def write_segment(self, log, **meta):
+        """Stream the ledger as one segment of a ``repro-decisions/1``
+        :class:`~repro.obs.schemas.SegmentLog`."""
+        log.start(meta)
+        for e in self.decision_events():
+            log.write({"ev": "decision", "t": e.time, "subject": e.subject,
+                       **e.detail})
+        log.finish(self.summary())
 
     def summary(self):
         """Exact totals for run reports and the JSONL finish record."""
@@ -336,140 +344,41 @@ def format_decision_table(rows):
 # JSONL stream (repro-decisions/1)
 # ---------------------------------------------------------------------------
 
-class DecisionsLog:
-    """Append-only JSONL sink for decision records.
+def _check_decisions_record(record, segment):
+    """``repro-decisions/1`` rules for one body or finish record.
 
-    Same shape as the steady log: a ``decisions.start`` record opens a
-    segment (one per run/cell), ``decision`` lines carry the records,
-    and ``decisions.finish`` closes it with the ledger's *exact* totals
-    — which may exceed the line count when the ring dropped events or
-    counter-only tiers (CPU slices) contributed.
+    Decision times must not regress within a segment and every decision
+    names its layer, kind and reason.  The finish record's ``counts``
+    rows must sum to its exact ``decisions`` total, which may exceed
+    the streamed line count (ring drops, counter-only CPU slices) but
+    never fall below it.
     """
-
-    def __init__(self, path):
-        self.path = path
-        self._fh = open(path, "w")
-
-    def _emit(self, record):
-        self._fh.write(json.dumps(record) + "\n")
-        self._fh.flush()
-
-    def start(self, **meta):
-        """Open a segment: run metadata plus the schema tag."""
-        self._emit({"ev": "decisions.start", "schema": SCHEMA, **meta})
-
-    def decision(self, event):
-        """Write one ring record (a ``sched.decision`` trace event)."""
-        d = event.detail
-        record = {"ev": "decision", "t": event.time,
-                  "subject": event.subject}
-        record.update(d)
-        self._emit(record)
-
-    def finish(self, summary):
-        """Close the segment with :meth:`DecisionLedger.summary` totals."""
-        self._emit({"ev": "decisions.finish", **summary})
-
-    def close(self):
-        self._fh.close()
-
-    def write_segment(self, ledger, **meta):
-        """Start/stream/finish one ledger as a complete segment."""
-        self.start(**meta)
-        for e in ledger.decision_events():
-            self.decision(e)
-        self.finish(ledger.summary())
-
-
-def read_decisions_log(path):
-    """Load and validate a ``repro-decisions/1`` JSONL stream.
-
-    Returns ``[{"meta": ..., "decisions": [...], "finish": ...}, ...]``
-    (one dict per segment).  Raises ``ValueError`` with the offending
-    line number when a line is not tagged JSON, a segment does not open
-    with a ``decisions.start`` of the supported schema, decision times
-    regress within a segment, finish totals are malformed, or the file
-    ends mid-segment.
-    """
-    segments = []
-    current = None
-    last_t = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(
-                    f"decisions log line {lineno}: not JSON ({exc})")
-            if not isinstance(record, dict) or "ev" not in record:
-                raise ValueError(
-                    f"decisions log line {lineno}: not a tagged record")
-            ev = record.pop("ev")
-            if current is None:
-                if ev != "decisions.start":
-                    raise ValueError(
-                        f"decisions log line {lineno}: expected "
-                        f"decisions.start, got {ev!r}")
-                check_schema(record.pop("schema", None), SCHEMA,
-                             "decisions log",
-                             where=f"decisions log line {lineno}")
-                current = {"meta": record, "decisions": [], "finish": None}
-                last_t = None
-            elif ev == "decision":
-                t = record.get("t")
-                if not isinstance(t, (int, float)):
-                    raise ValueError(
-                        f"decisions log line {lineno}: decision has no "
-                        f"numeric t")
-                if last_t is not None and t < last_t:
-                    raise ValueError(
-                        f"decisions log line {lineno}: decision time "
-                        f"{t} regresses below {last_t}")
-                last_t = t
-                for key in ("layer", "kind", "reason"):
-                    if not isinstance(record.get(key), str):
-                        raise ValueError(
-                            f"decisions log line {lineno}: decision "
-                            f"missing {key!r}")
-                current["decisions"].append(record)
-            elif ev == "decisions.finish":
-                for key in ("decisions", "deferrals", "dropped"):
-                    if not isinstance(record.get(key), int) \
-                            or record[key] < 0:
-                        raise ValueError(
-                            f"decisions log line {lineno}: finish "
-                            f"missing non-negative {key!r}")
-                counts = record.get("counts")
-                if not isinstance(counts, list) or any(
-                        not (isinstance(row, list) and len(row) == 4
-                             and isinstance(row[3], int))
-                        for row in counts):
-                    raise ValueError(
-                        f"decisions log line {lineno}: finish counts "
-                        f"must be [layer, kind, reason, n] rows")
-                if sum(row[3] for row in counts) != record["decisions"]:
-                    raise ValueError(
-                        f"decisions log line {lineno}: finish counts sum "
-                        f"to {sum(r[3] for r in counts)} but decisions "
-                        f"is {record['decisions']}")
-                if record["decisions"] < len(current["decisions"]):
-                    raise ValueError(
-                        f"decisions log line {lineno}: finish reports "
-                        f"{record['decisions']} decisions but the "
-                        f"segment streamed {len(current['decisions'])}")
-                current["finish"] = record
-                segments.append(current)
-                current = None
-            else:
-                raise ValueError(
-                    f"decisions log line {lineno}: unexpected event "
-                    f"{ev!r}")
-    if current is not None:
-        raise ValueError("decisions log ends mid-segment (no "
-                         "decisions.finish)")
-    if not segments:
-        raise ValueError("decisions log is empty")
-    return segments
+    records = segment["records"]
+    if record["ev"] == "decision":
+        t = record.get("t")
+        if not isinstance(t, (int, float)):
+            raise ValueError("decision has no numeric t")
+        if records and t < records[-1]["t"]:
+            raise ValueError(f"decision time {t} regresses below "
+                             f"{records[-1]['t']}")
+        for key in ("layer", "kind", "reason"):
+            if not isinstance(record.get(key), str):
+                raise ValueError(f"decision missing {key!r}")
+        return
+    for key in ("decisions", "deferrals", "dropped"):
+        if not isinstance(record.get(key), int) or record[key] < 0:
+            raise ValueError(f"finish missing non-negative {key!r}")
+    counts = record.get("counts")
+    if not isinstance(counts, list) or any(
+            not (isinstance(row, list) and len(row) == 4
+                 and isinstance(row[3], int))
+            for row in counts):
+        raise ValueError("finish counts must be [layer, kind, reason, n] "
+                         "rows")
+    total = sum(row[3] for row in counts)
+    if total != record["decisions"]:
+        raise ValueError(f"finish counts sum to {total} but decisions "
+                         f"is {record['decisions']}")
+    if record["decisions"] < len(records):
+        raise ValueError(f"finish reports {record['decisions']} decisions "
+                         f"but the segment streamed {len(records)}")

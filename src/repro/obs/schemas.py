@@ -14,6 +14,20 @@ missing schema tag with the uniform message every loader shares::
 
 and :func:`load_document` to sniff a file's schema and dispatch to the
 registered loader.
+
+Every ``jsonl`` schema shares one *segmented* grammar, written by
+:class:`SegmentLog` and validated by :func:`read_segments`.  A stream
+is one or more consecutive segments, each
+
+- a ``{"ev": "<stem>.start", "schema": <id>, ...}`` record carrying
+  the segment's metadata;
+- zero or more body records, each tagged with one of the entry's
+  ``events``;
+- a ``{"ev": "<stem>.finish", ...}`` record carrying its summary.
+
+The grammar rules are shared; only the per-record checks that differ
+between schemas (window order, decision totals...) come from the
+entry's ``check``.
 """
 
 from __future__ import annotations
@@ -31,21 +45,42 @@ class SchemaEntry:
     kind: str
     #: ``"json"`` for one-document files, ``"jsonl"`` for line streams.
     container: str
-    #: Dotted path of the loader/validator function (resolved lazily so
-    #: registering a schema never imports its module).
-    loader: str
+    #: Dotted path of a ``json`` document's loader/validator function
+    #: (resolved lazily so registering a schema never imports its module).
+    loader: str = ""
     #: CLI invocation that produces documents of this schema.
     producer: str = ""
     #: Older schema ids the loader still accepts.
     compat: tuple = field(default_factory=tuple)
+    #: ``jsonl`` only: the ``ev`` tags a body record may carry.
+    events: tuple = field(default_factory=tuple)
+    #: ``jsonl`` only: dotted path of ``check(record, segment)``, run on
+    #: every body and finish record; raises ``ValueError`` on a
+    #: violation.
+    check: str = ""
+
+    @property
+    def stem(self):
+        """``jsonl``: the tag stem, ``"steady"`` for ``repro-steady/1``.
+
+        Segments open with ``<stem>.start`` and close with
+        ``<stem>.finish``.
+        """
+        return self.schema.split("/")[0].removeprefix("repro-")
 
     def load(self, path):
-        """Resolve the loader lazily and run it on ``path``."""
-        mod_name, _, fn_name = self.loader.rpartition(".")
-        import importlib
+        """Validate and load ``path`` with this schema's loader."""
+        if self.container == "jsonl":
+            return read_segments(path, self.schema)
+        return _resolve(self.loader)(path)
 
-        fn = getattr(importlib.import_module(mod_name), fn_name)
-        return fn(path)
+
+def _resolve(dotted):
+    """Import ``module.attr`` lazily and return the attribute."""
+    import importlib
+
+    mod_name, _, name = dotted.rpartition(".")
+    return getattr(importlib.import_module(mod_name), name)
 
 
 #: schema id -> :class:`SchemaEntry`; populated below and via
@@ -53,12 +88,13 @@ class SchemaEntry:
 REGISTRY = {}
 
 
-def register_schema(schema, *, kind, container, loader, producer="",
-                    compat=()):
+def register_schema(schema, *, kind, container, loader="", producer="",
+                    compat=(), events=(), check=""):
     """Register (or replace) a schema entry; returns the entry."""
     entry = SchemaEntry(schema=schema, kind=kind, container=container,
                         loader=loader, producer=producer,
-                        compat=tuple(compat))
+                        compat=tuple(compat), events=tuple(events),
+                        check=check)
     REGISTRY[schema] = entry
     return entry
 
@@ -136,6 +172,115 @@ def load_document(path):
 
 
 # ---------------------------------------------------------------------------
+# Segmented JSONL streams
+# ---------------------------------------------------------------------------
+
+class SegmentLog:
+    """Write a segmented JSONL stream of one registered ``jsonl`` schema.
+
+    ``target`` is a path or an open text stream.  Every line is flushed
+    as written, so a long run can be tailed live.  One log may hold
+    several consecutive segments (one per sweep, cell or run); the
+    stream stays open until :meth:`close`, which closes only a file the
+    log opened itself.
+    """
+
+    def __init__(self, target, schema):
+        self.schema = schema
+        self._stem = REGISTRY[schema].stem
+        if hasattr(target, "write"):
+            self._fh = target
+            self._owns = False
+        else:
+            self._fh = open(target, "w", encoding="utf-8")
+            self._owns = True
+
+    def write(self, record):
+        """Write one record (a body record carries its own ``ev`` tag)."""
+        self._fh.write(json.dumps(record) + "\n")
+        self._fh.flush()
+
+    def start(self, meta):
+        """Open a segment: the schema tag plus ``meta``."""
+        self.write({"ev": f"{self._stem}.start", "schema": self.schema,
+                    **meta})
+
+    def finish(self, summary):
+        """Close the segment with ``summary``."""
+        self.write({"ev": f"{self._stem}.finish", **summary})
+
+    def close(self):
+        if self._owns and not self._fh.closed:
+            self._fh.close()
+
+
+def read_segments(source, schema):
+    """Parse and validate a segmented JSONL stream of ``schema``.
+
+    ``source`` is a path or an iterable of lines.  Returns one
+    ``{"meta": start, "records": [body...], "finish": finish}`` dict per
+    segment, each record as written.  Raises ``ValueError``, prefixed
+    ``<kind> line N:`` where a line is at fault, when the stream is
+    empty, a line is not a JSON object with an ``ev`` tag, a segment
+    does not open with a ``<stem>.start`` of a supported schema, a
+    record falls outside a segment or carries an unexpected tag, the
+    entry's ``check`` rejects a record, or the stream ends mid-segment.
+    """
+    entry = REGISTRY[schema]
+    kind, stem = entry.kind, entry.stem
+    check = _resolve(entry.check) if entry.check else None
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    else:
+        lines = list(source)
+    # Every line must parse before the grammar is checked, so a corrupt
+    # line is reported as such wherever it sits.
+    records = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{kind} line {lineno}: not JSON "
+                             f"({exc})") from None
+        if not isinstance(record, dict) or "ev" not in record:
+            raise ValueError(f"{kind} line {lineno}: missing 'ev' tag")
+        records.append((lineno, record))
+    if not records:
+        raise ValueError(f"{kind} is empty")
+    segments = []
+    current = None
+    for lineno, record in records:
+        ev = record["ev"]
+        try:
+            if current is None:
+                if ev != f"{stem}.start":
+                    raise ValueError(f"expected {stem}.start, got {ev!r}")
+                check_schema(record.get("schema"),
+                             (schema, *entry.compat), kind)
+                current = {"meta": record, "records": [], "finish": None}
+                continue
+            if ev not in entry.events and ev != f"{stem}.finish":
+                raise ValueError(
+                    f"unexpected event {ev!r} inside a segment")
+            if check is not None:
+                check(record, current)
+        except ValueError as exc:
+            raise ValueError(f"{kind} line {lineno}: {exc}") from None
+        if ev in entry.events:
+            current["records"].append(record)
+        else:
+            current["finish"] = record
+            segments.append(current)
+            current = None
+    if current is not None:
+        raise ValueError(f"{kind} ends mid-segment (no {stem}.finish)")
+    return segments
+
+
+# ---------------------------------------------------------------------------
 # Built-in schemas.  Loaders are dotted paths, resolved lazily.
 # ---------------------------------------------------------------------------
 
@@ -148,7 +293,7 @@ register_schema(
 register_schema(
     "repro-metrics/1", kind="metrics", container="json",
     loader="repro.obs.schemas._load_metrics",
-    producer="repro-experiments figures --metrics-out",
+    producer="repro-experiments --figure <n> --metrics-out",
 )
 register_schema(
     "repro-profile/1", kind="attribution", container="json",
@@ -162,13 +307,14 @@ register_schema(
 )
 register_schema(
     "repro-steady/1", kind="steady log", container="jsonl",
-    loader="repro.obs.steadylog.read_steady_log",
     producer="repro-experiments steady --steady-out",
+    events=("window",),
+    check="repro.obs.streaming._check_steady_record",
 )
 register_schema(
     "repro-sweep/1", kind="sweep log", container="jsonl",
-    loader="repro.obs.sweeplog.read_sweep_log",
-    producer="repro-experiments figures --sweep-log",
+    producer="repro-experiments --figure <n> --sweep-log",
+    events=("cell.finish", "cell.retry", "cell.error"),
 )
 register_schema(
     "repro-kernelprof/1", kind="kernelprof", container="json",
@@ -177,8 +323,9 @@ register_schema(
 )
 register_schema(
     "repro-decisions/1", kind="decisions log", container="jsonl",
-    loader="repro.obs.decisions.read_decisions_log",
     producer="repro-experiments decisions --decisions-out",
+    events=("decision",),
+    check="repro.obs.decisions._check_decisions_record",
 )
 
 

@@ -25,7 +25,7 @@ afford that, so this module provides the O(1)-memory counterparts:
   the aggregators from arrival/completion callbacks, maintains windowed
   time-series rings (throughput, response time, jobs in system,
   utilization), and emits each closed window incrementally to a
-  ``repro-steady/1`` JSONL stream (:mod:`repro.obs.steadylog`);
+  ``repro-steady/1`` :class:`~repro.obs.schemas.SegmentLog`;
 - :class:`OpenRunResult` — what ``run_open(collect_jobs=False)``
   returns: counts plus streaming summaries, no per-job storage.
 
@@ -40,6 +40,9 @@ import math
 from collections import deque
 
 from repro.obs.metrics import Histogram, log_boundaries
+
+#: Steady-stream schema identifier; bump on incompatible layout changes.
+SCHEMA = "repro-steady/1"
 
 #: Default sketch geometry: 1 µs .. 10⁴ s in 1/32-decade buckets (321
 #: buckets, ~7.5% bucket ratio; interpolation is usually far tighter).
@@ -404,6 +407,18 @@ class SteadyWindow:
                 f"x={self.throughput:.3g}/s>")
 
 
+def _check_steady_record(record, segment):
+    """``repro-steady/1`` rule: window indices strictly increase."""
+    if record["ev"] != "window":
+        return
+    i = record.get("i")
+    if not isinstance(i, int):
+        raise ValueError("window without integer 'i'")
+    if segment["records"] and i <= segment["records"][-1]["i"]:
+        raise ValueError(f"window index {i} not after "
+                         f"{segment['records'][-1]['i']}")
+
+
 class SteadyStateSink:
     """Streaming statistics sink for :meth:`MulticomputerSystem.run_open`.
 
@@ -416,14 +431,14 @@ class SteadyStateSink:
     ``window`` (simulated seconds) enables the windowed time series:
     throughput, in-window mean response time, time-averaged jobs in
     system, and CPU utilization per window, kept in :attr:`ring` and
-    emitted incrementally to ``log`` (a :class:`repro.obs.steadylog.
-    SteadyLog`) as the simulation crosses each boundary.  Window edges
-    are recognised lazily at the first arrival/completion at-or-after
-    the boundary; empty windows are still emitted, and utilization is
-    read from the cumulative CPU counters at that recognition point
-    (slice-end granularity), which keeps the sink free of simulation
-    events.  With ``window=None`` only the run-level aggregates are
-    maintained.
+    emitted incrementally to ``log`` (a ``repro-steady/1``
+    :class:`~repro.obs.schemas.SegmentLog`) as the simulation crosses
+    each boundary.  Window edges are recognised lazily at the first
+    arrival/completion at-or-after the boundary; empty windows are
+    still emitted, and utilization is read from the cumulative CPU
+    counters at that recognition point (slice-end granularity), which
+    keeps the sink free of simulation events.  With ``window=None``
+    only the run-level aggregates are maintained.
     """
 
     def __init__(self, window=None, log=None,
@@ -540,7 +555,7 @@ class SteadyStateSink:
         self.ring.append(win)
         self.windows_emitted += 1
         if self.log is not None:
-            self.log.window(win.to_dict())
+            self.log.write({"ev": "window", **win.to_dict()})
         self._w_index += 1
         self._w_start = end
         self._w_arrived = 0

@@ -8,7 +8,7 @@ them as
 
 - :class:`SweepLog` — one JSON object per line (``repro-sweep/1``),
   with per-cell host wall-clock, worker pid, and trace events/sec, for
-  machines (:func:`read_sweep_log` round-trips it);
+  machines (:func:`repro.obs.schemas.read_segments` round-trips it);
 - :class:`Heartbeat` — a single self-overwriting terminal line with
   completed/total cells, the running completion rate, and an ETA, plus
   a slowest-cells ranking when the sweep finishes.  It writes to
@@ -22,11 +22,10 @@ without one runs exactly the code it ran before.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 
-from repro.obs.schemas import check_schema
+from repro.obs.schemas import SegmentLog
 
 #: Sweep-log schema identifier; bump on incompatible layout changes.
 SCHEMA = "repro-sweep/1"
@@ -114,25 +113,18 @@ class MultiObserver(SweepObserver):
 
 
 class SweepLog(SweepObserver):
-    """Write the sweep's lifecycle as a JSONL event stream.
+    """Write the sweep's lifecycle as a ``repro-sweep/1`` segment log.
 
-    ``target`` is a path or an open text stream.  Every line is one
-    JSON object with an ``ev`` tag; the first is ``sweep.start`` (which
-    carries the schema version) and each sweep ends with a
-    ``sweep.finish`` carrying totals and the slowest-cells ranking.
-    ``t`` is host seconds since the current sweep started.  One log may
-    hold several consecutive start/finish segments (``--figure all``
-    runs one sweep per figure); the stream stays open until
-    :meth:`close`.
+    ``target`` is a path or an open text stream (see
+    :class:`~repro.obs.schemas.SegmentLog`).  Each sweep is one
+    ``sweep.start`` … ``sweep.finish`` segment, the finish carrying
+    totals and the slowest-cells ranking; ``--figure all`` writes one
+    segment per figure.  Every record ends with ``t``, host seconds
+    since the current sweep started.
     """
 
     def __init__(self, target, ranking=DEFAULT_RANKING):
-        if hasattr(target, "write"):
-            self._fh = target
-            self._owns = False
-        else:
-            self._fh = open(target, "w", encoding="utf-8")
-            self._owns = True
+        self._log = SegmentLog(target, SCHEMA)
         self._ranking = ranking
         self._t0 = None
         self._ok = 0
@@ -145,10 +137,9 @@ class SweepLog(SweepObserver):
             self._t0 = time.perf_counter()
         return time.perf_counter() - self._t0
 
-    def _emit(self, record):
+    def _stamped(self, record):
         record["t"] = round(self._elapsed(), 6)
-        self._fh.write(json.dumps(record) + "\n")
-        self._fh.flush()
+        return record
 
     # -- observer callbacks ---------------------------------------------
     def sweep_started(self, total, jobs=1):
@@ -156,8 +147,7 @@ class SweepLog(SweepObserver):
         self._ok = 0
         self._failed = 0
         self._walls = []
-        self._emit({"ev": "sweep.start", "schema": SCHEMA,
-                    "total": total, "jobs": jobs})
+        self._log.start(self._stamped({"total": total, "jobs": jobs}))
 
     def cell_finished(self, index, task, wall_s=None, attempts=1,
                       worker=None, events_per_sec=None):
@@ -172,70 +162,33 @@ class SweepLog(SweepObserver):
             rec["worker"] = worker
         if events_per_sec is not None:
             rec["events_per_sec"] = round(events_per_sec, 1)
-        self._emit(rec)
+        self._log.write(self._stamped(rec))
 
     def cell_retry(self, index, task, error):
-        self._emit({"ev": "cell.retry", "i": index, **_task_fields(task),
-                    "error": str(error)})
+        self._log.write(self._stamped({
+            "ev": "cell.retry", "i": index, **_task_fields(task),
+            "error": str(error)}))
 
     def cell_failed(self, index, task, error, attempts):
         self._failed += 1
-        self._emit({"ev": "cell.error", "i": index, **_task_fields(task),
-                    "error": str(error), "attempts": attempts})
+        self._log.write(self._stamped({
+            "ev": "cell.error", "i": index, **_task_fields(task),
+            "error": str(error), "attempts": attempts}))
 
     def sweep_finished(self):
         slowest = sorted(self._walls, reverse=True)[:self._ranking]
-        self._emit({
-            "ev": "sweep.finish", "ok": self._ok, "failed": self._failed,
+        self._log.finish(self._stamped({
+            "ok": self._ok, "failed": self._failed,
             "wall_s": round(self._elapsed(), 6),
             "slowest": [
                 {"label": label, "policy": policy, "figure": figure,
                  "wall_s": round(wall, 6)}
                 for wall, label, policy, figure in slowest
             ],
-        })
+        }))
 
     def close(self):
-        if self._owns and not self._fh.closed:
-            self._fh.close()
-
-
-def read_sweep_log(path_or_lines):
-    """Parse and validate a sweep JSONL stream; returns the event list.
-
-    Accepts a path or an iterable of lines.  Raises ``ValueError`` when
-    the stream does not start with a ``sweep.start`` event carrying the
-    supported schema, or when any line is not a tagged JSON object.
-    """
-    if isinstance(path_or_lines, (str, bytes)) or hasattr(
-            path_or_lines, "__fspath__"):
-        with open(path_or_lines, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = list(path_or_lines)
-    events = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise ValueError(f"sweep log line {lineno}: not JSON "
-                             f"({exc})") from None
-        if not isinstance(record, dict) or "ev" not in record:
-            raise ValueError(f"sweep log line {lineno}: missing 'ev' tag")
-        events.append(record)
-    if not events:
-        raise ValueError("sweep log is empty")
-    head = events[0]
-    if head["ev"] != "sweep.start":
-        raise ValueError(
-            f"sweep log does not start with a {SCHEMA} sweep.start event"
-        )
-    check_schema(head.get("schema"), SCHEMA, "sweep log",
-                 where="sweep log line 1")
-    return events
+        self._log.close()
 
 
 class Heartbeat(SweepObserver):

@@ -13,7 +13,8 @@ from repro.experiments.steady import (
     steady_cell,
     steady_cell_bursty,
 )
-from repro.obs.steadylog import SCHEMA, read_steady_log
+from repro.obs.schemas import read_segments
+from repro.obs.streaming import SCHEMA
 
 
 def test_steady_cell_runs_and_summarises():
@@ -79,12 +80,12 @@ def test_cli_steady_smoke(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "Steady-state sweep" in captured
     assert "static" in captured
-    events = read_steady_log(out_path)
-    assert events[0]["ev"] == "steady.start"
-    assert events[0]["schema"] == SCHEMA
-    windows = [e for e in events if e["ev"] == "window"]
+    segments = read_segments(out_path, SCHEMA)
+    assert segments[0]["meta"]["ev"] == "steady.start"
+    assert segments[0]["meta"]["schema"] == SCHEMA
+    windows = [w for s in segments for w in s["records"]]
     assert windows
-    finish = [e for e in events if e["ev"] == "steady.finish"]
+    finish = [s["finish"] for s in segments]
     assert len(finish) == 1 and finish[0]["completed"] > 0
     # Stream is line-delimited JSON throughout.
     for line in out_path.read_text().splitlines():

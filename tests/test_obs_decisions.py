@@ -21,17 +21,17 @@ from repro.experiments.cli import main as cli_main
 from repro.experiments.report import grid_to_csv
 from repro.experiments.runner import run_figure
 from repro.obs import (
-    DecisionsLog,
+    SegmentLog,
     check_decomposition,
     decision_table,
     format_decision_table,
     job_spans,
     profile_run,
     queued_decomposition,
-    read_decisions_log,
+    read_segments,
     to_perfetto,
 )
-from repro.obs.decisions import CATEGORY, DecisionLedger
+from repro.obs.decisions import CATEGORY, SCHEMA, DecisionLedger
 from repro.trace import TraceRecorder
 from repro.workload import standard_batch
 
@@ -224,23 +224,23 @@ def test_decision_table_aggregates_by_policy():
 # -- repro-decisions/1 stream ---------------------------------------------
 def test_decisions_log_round_trip(tmp_path):
     path = tmp_path / "decisions.jsonl"
-    log = DecisionsLog(path)
+    log = SegmentLog(path, SCHEMA)
     ledgers = []
     for label, (name, make, ordering) in zip(
             ("a", "b"), (POLICY_CASES[0], POLICY_CASES[7])):
         system, _ = run_system(make(), ordering=ordering)
-        log.write_segment(system.decisions, label=label, policy=name)
+        system.decisions.write_segment(log, label=label, policy=name)
         ledgers.append(system.decisions)
     log.close()
-    segments = read_decisions_log(path)
+    segments = read_segments(path, SCHEMA)
     assert [s["meta"]["label"] for s in segments] == ["a", "b"]
     for seg, led in zip(segments, ledgers):
         assert seg["finish"]["decisions"] == led.total
         assert seg["finish"]["deferrals"] == led.deferrals
-        assert len(seg["decisions"]) == len(led.decision_events())
-        ts = [d["t"] for d in seg["decisions"]]
+        assert len(seg["records"]) == len(led.decision_events())
+        ts = [d["t"] for d in seg["records"]]
         assert ts == sorted(ts)
-        for d in seg["decisions"]:
+        for d in seg["records"]:
             assert isinstance(d["layer"], str)
             assert isinstance(d["kind"], str)
             assert isinstance(d["reason"], str)
@@ -259,24 +259,29 @@ def test_decisions_log_rejects_malformed(tmp_path):
            "reason": "x", "subject": "super"}
 
     with pytest.raises(ValueError, match="empty"):
-        read_decisions_log(write([]))
+        read_segments(write([]), SCHEMA)
     with pytest.raises(ValueError, match="expected decisions.start"):
-        read_decisions_log(write([dec]))
+        read_segments(write([dec]), SCHEMA)
     with pytest.raises(ValueError, match="unsupported decisions log schema"):
-        read_decisions_log(write([dict(start, schema="bogus/1")]))
+        read_segments(write([dict(start, schema="bogus/1")]), SCHEMA)
     with pytest.raises(ValueError, match="mid-segment"):
-        read_decisions_log(write([start, dec]))
+        read_segments(write([start, dec]), SCHEMA)
     with pytest.raises(ValueError, match="regresses"):
-        read_decisions_log(write(
-            [start, dict(dec, t=2.0), dict(dec, t=1.0), finish]))
+        read_segments(write(
+            [start, dict(dec, t=2.0), dict(dec, t=1.0), finish]), SCHEMA)
     with pytest.raises(ValueError, match="missing 'reason'"):
         bad = {k: v for k, v in dec.items() if k != "reason"}
-        read_decisions_log(write([start, bad, finish]))
+        read_segments(write([start, bad, finish]), SCHEMA)
     with pytest.raises(ValueError, match="counts sum"):
-        read_decisions_log(write([start, dict(
-            finish, counts=[["super", "defer", "x", 3]])]))
+        read_segments(write([start, dict(
+            finish, counts=[["super", "defer", "x", 3]])]), SCHEMA)
     with pytest.raises(ValueError, match="streamed"):
-        read_decisions_log(write([start, dec, finish]))
+        read_segments(write([start, dec, finish]), SCHEMA)
+    # The reader also takes the lines themselves, not only a path.
+    one = dict(finish, decisions=1, counts=[["super", "defer", "x", 1]])
+    [segment] = read_segments([json.dumps(r) for r in (start, dec, one)],
+                              SCHEMA)
+    assert segment["records"] == [dec] and segment["finish"] == one
 
 
 # -- steady-state windows -------------------------------------------------
@@ -284,13 +289,15 @@ def test_steady_windows_carry_decision_columns():
     import io
 
     from repro.experiments.steady import steady_cell
-    from repro.obs.steadylog import SteadyLog, read_steady_log
+    from repro.obs.streaming import SCHEMA as STEADY
 
     def windows(**kw):
         buf = io.StringIO()
-        steady_cell("static", 4.0, 30.0, nodes=4, log=SteadyLog(buf), **kw)
-        return [e for e in read_steady_log(buf.getvalue().splitlines())
-                if e["ev"] == "window"]
+        steady_cell("static", 4.0, 30.0, nodes=4,
+                    log=SegmentLog(buf, STEADY), **kw)
+        return [w for s in read_segments(buf.getvalue().splitlines(),
+                                         STEADY)
+                for w in s["records"]]
 
     on = windows(decisions=True)
     off = windows()
@@ -385,7 +392,7 @@ def test_cli_decisions_smoke(capsys, tmp_path):
     # Satellite: every artifact line names its path and schema id.
     assert f"wrote {dec_path} [repro-decisions/1" in out
     assert f"wrote {trace_path} [chrome-trace" in out
-    segments = read_decisions_log(dec_path)
+    segments = read_segments(dec_path, SCHEMA)
     assert segments and all(s["finish"] is not None for s in segments)
     trace = json.loads(trace_path.read_text())
     assert any(e.get("cat") == CATEGORY for e in trace["traceEvents"])

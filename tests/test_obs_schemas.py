@@ -127,3 +127,27 @@ def test_compat_ids_route_to_current_entry(tmp_path):
     entry = REGISTRY["repro-bench/2"]
     assert "repro-bench/1" in entry.compat
     assert REGISTRY.get("repro-bench/1") is None  # only current ids listed
+
+
+def test_producers_name_real_cli_commands_and_flags():
+    """Every ``repro-experiments …`` producer is a runnable invocation:
+    its words are a command the parser accepts, ``--flags`` it defines,
+    or ``<placeholders>``."""
+    from repro.experiments.cli import _build_parser
+
+    parser = _build_parser()
+    commands = next(a.choices for a in parser._actions
+                    if a.dest == "command")
+    flags = set(parser._option_string_actions)
+    checked = 0
+    for entry in REGISTRY.values():
+        prog, *words = entry.producer.split()
+        if prog != "repro-experiments":
+            continue
+        checked += 1
+        for word in words:
+            if word.startswith("<"):
+                continue
+            known = flags if word.startswith("--") else commands
+            assert word in known, (entry.schema, word)
+    assert checked >= 6

@@ -13,8 +13,9 @@ from repro.core import (
     SystemConfig,
     TimeSharing,
 )
-from repro.obs.steadylog import SCHEMA, SteadyLog, read_steady_log
+from repro.obs.schemas import SegmentLog, read_segments
 from repro.obs.streaming import (
+    SCHEMA,
     BatchSeries,
     OnlineStats,
     OpenRunResult,
@@ -365,42 +366,42 @@ def test_steady_ci_covers_mmc_mean():
 def test_steady_log_round_trip():
     buf = io.StringIO()
     rng = np.random.default_rng(14)
-    sink = SteadyStateSink(window=5.0, log=SteadyLog(buf))
+    sink = SteadyStateSink(window=5.0, log=SegmentLog(buf, SCHEMA))
     MulticomputerSystem(_open_config(), StaticSpaceSharing(1)).run_open(
         poisson_arrivals(6.0, 25.0, _exp_factory, rng),
         collect_jobs=False, sink=sink)
-    events = read_steady_log(buf.getvalue().splitlines())
-    assert events[0]["ev"] == "steady.start"
-    assert events[0]["schema"] == SCHEMA
-    assert events[0]["policy"] == "static"
-    assert events[-1]["ev"] == "steady.finish"
-    windows = [e for e in events if e["ev"] == "window"]
+    [segment] = read_segments(buf.getvalue().splitlines(), SCHEMA)
+    assert segment["meta"]["ev"] == "steady.start"
+    assert segment["meta"]["schema"] == SCHEMA
+    assert segment["meta"]["policy"] == "static"
+    assert segment["finish"]["ev"] == "steady.finish"
+    windows = segment["records"]
     assert windows and [w["i"] for w in windows] == list(
         range(len(windows)))
-    finish = events[-1]
+    finish = segment["finish"]
     assert finish["completed"] == sink.completed
     assert "steady" in finish and "ci95" in finish["steady"]
 
 
 def test_read_steady_log_rejects_malformed():
     with pytest.raises(ValueError):
-        read_steady_log([])
+        read_segments([], SCHEMA)
     with pytest.raises(ValueError):
-        read_steady_log(['{"ev": "window", "i": 0}'])
+        read_segments(['{"ev": "window", "i": 0}'], SCHEMA)
     with pytest.raises(ValueError):
-        read_steady_log(["not json"])
+        read_segments(["not json"], SCHEMA)
     start = ('{"ev": "steady.start", "schema": "%s"}' % SCHEMA)
     with pytest.raises(ValueError):  # non-monotone windows
-        read_steady_log([start,
-                         '{"ev": "window", "i": 1}',
-                         '{"ev": "window", "i": 1}',
-                         '{"ev": "steady.finish"}'])
+        read_segments([start,
+                       '{"ev": "window", "i": 1}',
+                       '{"ev": "window", "i": 1}',
+                       '{"ev": "steady.finish"}'], SCHEMA)
     with pytest.raises(ValueError):  # ends mid-segment
-        read_steady_log([start, '{"ev": "window", "i": 0}'])
-    events = read_steady_log([start, '{"ev": "window", "i": 0}',
+        read_segments([start, '{"ev": "window", "i": 0}'], SCHEMA)
+    segments = read_segments([start, '{"ev": "window", "i": 0}',
                               '{"ev": "steady.finish"}',
-                              start, '{"ev": "steady.finish"}'])
-    assert len(events) == 5  # multi-segment streams are fine
+                              start, '{"ev": "steady.finish"}'], SCHEMA)
+    assert len(segments) == 2  # multi-segment streams are fine
 
 
 def test_sink_summary_by_class():

@@ -10,7 +10,7 @@ from repro.experiments import ExperimentScale, figure_spec
 from repro.experiments.cli import main as cli_main
 from repro.experiments.parallel import run_figure_parallel
 from repro.experiments.runner import run_figure
-from repro.obs import Heartbeat, MultiObserver, SweepLog, read_sweep_log
+from repro.obs import Heartbeat, MultiObserver, SweepLog, read_segments
 from repro.obs.sweeplog import SCHEMA, SweepObserver, _task_fields
 
 
@@ -47,7 +47,8 @@ def test_sweep_log_round_trips_through_reader():
     log.cell_finished(2, TASK, wall_s=1.5)
     log.sweep_finished()
 
-    events = read_sweep_log(buf.getvalue().splitlines())
+    [segment] = read_segments(buf.getvalue().splitlines(), SCHEMA)
+    events = [segment["meta"], *segment["records"], segment["finish"]]
     assert [e["ev"] for e in events] == [
         "sweep.start", "cell.finish", "cell.retry", "cell.error",
         "cell.finish", "sweep.finish"]
@@ -81,33 +82,39 @@ def test_sweep_log_survives_consecutive_sweeps(tmp_path):
         log.sweep_finished()
     log.close()
     log.close()  # idempotent
-    events = read_sweep_log(path)
-    assert [e["ev"] for e in events] == [
-        "sweep.start", "cell.finish", "sweep.finish"] * 2
+    segments = read_segments(path, SCHEMA)
+    assert [[s["meta"]["ev"], *(r["ev"] for r in s["records"]),
+             s["finish"]["ev"]] for s in segments] == [
+        ["sweep.start", "cell.finish", "sweep.finish"]] * 2
     # Per-segment totals, not cumulative across sweeps.
-    finals = [e for e in events if e["ev"] == "sweep.finish"]
+    finals = [s["finish"] for s in segments]
     assert all(e["ok"] == 1 and len(e["slowest"]) == 1 for e in finals)
 
 
 def test_read_sweep_log_rejects_malformed_streams(tmp_path):
     with pytest.raises(ValueError, match="empty"):
-        read_sweep_log([])
+        read_segments([], SCHEMA)
     with pytest.raises(ValueError, match="not JSON"):
-        read_sweep_log(['{"ev": "sweep.start"}', "not json"])
+        read_segments(['{"ev": "sweep.start"}', "not json"], SCHEMA)
     with pytest.raises(ValueError, match="missing 'ev'"):
-        read_sweep_log(['{"schema": "repro-sweep/1"}'])
+        read_segments(['{"schema": "repro-sweep/1"}'], SCHEMA)
     with pytest.raises(ValueError, match="sweep.start"):
-        read_sweep_log(['{"ev": "cell.finish"}'])
+        read_segments(['{"ev": "cell.finish"}'], SCHEMA)
     # Wrong schema version on the start event is rejected too, with the
     # registry's uniform wrong-schema message.
     with pytest.raises(ValueError, match="unsupported sweep log schema"):
-        read_sweep_log([json.dumps({"ev": "sweep.start",
-                                    "schema": "repro-sweep/999"})])
+        read_segments([json.dumps({"ev": "sweep.start",
+                                   "schema": "repro-sweep/999"})], SCHEMA)
+    # A sweep whose segment never closes (a killed process) is rejected.
+    start = json.dumps({"ev": "sweep.start", "schema": SCHEMA,
+                        "total": 0, "jobs": 1})
+    with pytest.raises(ValueError, match="mid-segment"):
+        read_segments([start], SCHEMA)
     # And the path form works.
     path = tmp_path / "sweep.jsonl"
-    path.write_text(json.dumps({"ev": "sweep.start", "schema": SCHEMA,
-                                "total": 0, "jobs": 1}) + "\n")
-    assert read_sweep_log(path)[0]["total"] == 0
+    path.write_text(start + "\n" + json.dumps(
+        {"ev": "sweep.finish", "ok": 0, "failed": 0}) + "\n")
+    assert read_segments(path, SCHEMA)[0]["meta"]["total"] == 0
 
 
 # -- executor integration ------------------------------------------------
@@ -204,7 +211,8 @@ def test_cli_sweep_log_and_heartbeat(capsys, tmp_path):
     log_path = tmp_path / "sweep.jsonl"
     assert cli_main(["--figure", "6", "--scale", "smoke", "--jobs", "2",
                      "--sweep-log", str(log_path), "--heartbeat"]) == 0
-    events = read_sweep_log(log_path)
+    [segment] = read_segments(log_path, SCHEMA)
+    events = [segment["meta"], *segment["records"], segment["finish"]]
     # Figure 6 smoke: p=1 one topology + p=4,16 on two topologies,
     # two policies each = 10 cells, all succeeding.
     assert events[0] == {"ev": "sweep.start", "schema": SCHEMA,
