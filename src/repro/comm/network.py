@@ -197,13 +197,14 @@ class _MessageWalker:
     with the first awaited event's failure.
     """
 
-    __slots__ = ("network", "message", "alloc", "path", "done")
+    __slots__ = ("network", "message", "alloc", "path", "walkers", "done")
 
     def __init__(self, network, message):
         self.network = network
         self.message = message
         self.alloc = None
         self.path = None
+        self.walkers = None
         self.done = network.env.event()
         network.env.kick(self._start)
 
@@ -290,12 +291,36 @@ class _MessageWalker:
             return
         self.alloc = event._value
         network = self.network
-        message = self.message
-        packets = fragment(message, network.config.packet_bytes)
-        done = [_PacketWalker(network, pkt, self.path).done
-                for pkt in packets]
-        gather = network.env.all_of(done)
+        path = self.path
+        # Resolve the route once per message: the node objects along the
+        # path and the outgoing link of every hop.
+        nodes = network.nodes
+        route = [nodes[n] for n in path]
+        links = [node.link_to(v) for node, v in zip(route, path[1:])]
+        hop_cpu_cost = network.config.hop_cpu_cost
+        walkers = self.walkers = [
+            _PacketWalker(network, pkt, route, links,
+                          hop_cpu_cost(pkt.nbytes))
+            for pkt in fragment(self.message, network.config.packet_bytes)
+        ]
+        gather = network.env.all_of([walker.done for walker in walkers])
         gather.callbacks.append(self._on_packets)
+        # One kick starts every packet, in order.  Per-packet kicks
+        # would be consecutive URGENT agenda entries, and starting a
+        # packet schedules no urgent work, so this is the same agenda.
+        network.env.kick(self._start_packets)
+
+    def _start_packets(self, _event):
+        walkers = self.walkers
+        self.walkers = None
+        kp = self.network._kp
+        if kp is not None:
+            # One batched bump per message, not one per hop — the hop
+            # count is known up front and hook calls are hot-path cost.
+            kp.count("comm.packet_hops",
+                     len(walkers) * (len(self.path) - 1))
+        for walker in walkers:
+            walker._next_hop()
 
     def _on_packets(self, event):
         if not event._ok:
@@ -326,15 +351,23 @@ class _PacketWalker:
     per-packet forwarding software to the receiving node's high-priority
     CPU queue.  ``done`` triggers with the packet after the last hop
     (taking the place of the old packet Process's end event, one for
-    one) or fails with the first awaited event's failure.
+    one) or fails with the first awaited event's failure.  The owning
+    :class:`_MessageWalker` resolves the route and starts the walker.
     """
 
-    __slots__ = ("network", "packet", "path", "hop", "held", "slot", "done")
+    __slots__ = ("network", "packet", "route", "links", "cpu_cost", "hop",
+                 "held", "slot", "done")
 
-    def __init__(self, network, packet, path):
+    def __init__(self, network, packet, route, links, cpu_cost):
         self.network = network
         self.packet = packet
-        self.path = path
+        #: Node objects along the path, shared by the message's packets.
+        self.route = route
+        #: ``links[i]`` carries the packet from ``route[i]`` to
+        #: ``route[i + 1]``.
+        self.links = links
+        #: Forwarding software charged at every arrival.
+        self.cpu_cost = cpu_cost
         self.hop = 0
         #: Transit buffer occupied at the current node, released only
         #: after the packet has crossed the next link (store-and-forward).
@@ -342,32 +375,21 @@ class _PacketWalker:
         #: Buffer granted at the next node, adopted as ``held`` there.
         self.slot = None
         self.done = network.env.event()
-        network.env.kick(self._start)
-
-    def _start(self, _event):
-        kp = self.network._kp
-        if kp is not None:
-            # One batched bump per packet, not one per hop — the hop
-            # count is known up front and hook calls are hot-path cost.
-            kp.count("comm.packet_hops", len(self.path) - 1)
-        self._next_hop()
 
     def _next_hop(self):
         hop = self.hop
-        path = self.path
-        if hop >= len(path) - 1:
+        if hop == len(self.links):
             if self.held is not None:
                 self.held.release()
             self.done.succeed(self.packet)
             return
-        v = path[hop + 1]
-        if v == path[-1]:
+        route = self.route
+        v = route[hop + 1]
+        if v is route[-1]:
             # Final hop: no transit buffer — straight to the link.
             self._transmit(None)
             return
-        request = self.network.nodes[v].buffers.acquire(
-            hop, owner=self.packet.message.job_id
-        )
+        request = v.buffers.acquire(hop, owner=self.packet.message.job_id)
         request.callbacks.append(self._on_buffer)
 
     def _on_buffer(self, event):
@@ -380,13 +402,13 @@ class _PacketWalker:
     def _transmit(self, slot):
         network = self.network
         packet = self.packet
-        u = self.path[self.hop]
-        v = self.path[self.hop + 1]
         self.slot = slot
-        link = network.nodes[u].link_to(v)
+        link = self.links[self.hop]
         tel = network._tel
         if tel is not None:
             env = network.env
+            u = link.src
+            v = link.dst
             wait = link.backlog
             service = link.startup + packet.nbytes / link.bandwidth
             tel.slice("link.transfer", f"link{u}->{v}",
@@ -407,17 +429,15 @@ class _PacketWalker:
             self.done.fail(event._value)
             return
         network = self.network
-        packet = self.packet
-        v = self.path[self.hop + 1]
-        network.stats.record_hop(v, packet.nbytes)
+        hop = self.hop
+        network.stats.record_hop(self.links[hop].dst, self.packet.nbytes)
         if self.held is not None:
             self.held.release()
         self.held = self.slot
         # Per-packet forwarding/receive software at the arriving node:
         # fixed overhead plus the store-and-forward memory copy.
-        work = network.nodes[v].cpu.execute(
-            network.config.hop_cpu_cost(packet.nbytes), HIGH, tag="comm"
-        )
+        work = self.route[hop + 1].cpu.execute(self.cpu_cost, HIGH,
+                                               tag="comm")
         work.callbacks.append(self._on_cpu)
 
     def _on_cpu(self, event):

@@ -15,6 +15,11 @@ from collections import defaultdict
 
 from repro.transputer.cpu import LOW
 
+#: Decision-ledger keys of the per-burst dispatch outcome (counter tier;
+#: see :meth:`repro.obs.decisions.DecisionLedger.bump`).
+_DISPATCH_DEFAULT = ("local", "dispatch", "default_quantum")
+_DISPATCH_POLICY = ("local", "dispatch", "policy_quantum")
+
 
 class LocalScheduler:
     """Per-node adapter between job processes and the hardware queues."""
@@ -56,9 +61,8 @@ class LocalScheduler:
         if led is not None:
             # Counter tier: one dispatch decision per submitted burst,
             # classified by whether a policy quantum bounds it.
-            led.tally("local", "dispatch",
-                      "default_quantum" if quantum is None
-                      else "policy_quantum")
+            led.bump(_DISPATCH_DEFAULT if quantum is None
+                     else _DISPATCH_POLICY)
         tel = self._tel
         if tel is not None:
             tel.metrics.histogram("sched.burst_seconds").observe(work_seconds)

@@ -84,16 +84,20 @@ class DecisionLedger:
         self.meta = {}
 
     # -- recording -------------------------------------------------------
-    def tally(self, layer, kind, reason):
-        """Exact counter increment; the hot-path tier (no ring record)."""
-        key = (layer, kind, reason)
+    def bump(self, key):
+        """Exact counter increment; the hot-path tier (no ring record).
+
+        ``key`` is a ``(layer, kind, reason)`` tuple.  The hottest call
+        sites (per CPU slice, per burst) keep theirs as module constants
+        instead of building a fresh tuple per call.
+        """
         counts = self.counts
         counts[key] = counts.get(key, 0) + 1
         self.total += 1
 
     def record(self, layer, kind, reason, subject, **detail):
-        """Tally plus a ring record for job-granular decisions."""
-        self.tally(layer, kind, reason)
+        """Counter bump plus a ring record for job-granular decisions."""
+        self.bump((layer, kind, reason))
         self.recorder.record(self.env.now, CATEGORY, subject,
                              layer=layer, kind=kind, reason=reason, **detail)
 

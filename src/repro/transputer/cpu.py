@@ -9,9 +9,14 @@ The Transputer maintains two ready queues in hardware:
 - **Low priority** — processes are round-robin time-shared.  The
   hardware default quantum is ~2 ms; the paper's local schedulers set
   their own per-process quantum to implement the RR-job rule
-  ``Q = (P/T) * q``.  When a high-priority process becomes ready, the
-  running low-priority process is preempted immediately and *the
-  unfinished part of its quantum is lost* (it re-queues at the back).
+  ``Q = (P/T) * q``.  When a high-priority process becomes ready, a
+  running low-priority slice is preempted at once and *the unfinished
+  part of its quantum is lost* (it re-queues at the back).  One known
+  deviation from the hardware: a high-priority arrival while a
+  low-priority dispatch is still paying its context-switch overhead
+  does not preempt — the low slice then runs its whole quantum before
+  the high-priority work gets the CPU (pinned as an expected failure
+  in ``tests/test_transputer_cpu.py``).
 
 The public operation is :meth:`Cpu.execute`: submit a burst of
 ``work_seconds`` of computation at a priority (and optional per-request
@@ -39,6 +44,17 @@ HIGH = 0
 LOW = 1
 
 _EPS = 1e-12
+
+#: Decision-ledger keys of the per-slice outcomes (counter tier; see
+#: :meth:`repro.obs.decisions.DecisionLedger.bump`).
+_ARM_KEYS = {
+    "quantum": ("cpu", "arm", "quantum"),
+    "extended": ("cpu", "arm", "extended"),
+}
+_SLICE_PREEMPTED = ("cpu", "slice", "preempted")
+_SLICE_BLOCK_YIELD = ("cpu", "slice", "block_yield")
+_SLICE_QUANTUM_EXPIRY = ("cpu", "slice", "quantum_expiry")
+
 
 class WorkRequest(Event):
     """A burst of CPU work; the event fires when the burst completes."""
@@ -347,7 +363,7 @@ class Cpu:
         if led is not None:
             # Counter tier only: a ring record per slice would blow the
             # ledger's overhead ceiling on slice-dominated runs.
-            led.tally("cpu", "arm", self._slice_interruptible)
+            led.bump(_ARM_KEYS[self._slice_interruptible])
         self._slice_start = env.now
         self._slice_len = slice_len
         timer = env.timeout(slice_len)
@@ -385,10 +401,9 @@ class Cpu:
         stats.low_time += elapsed
         led = self._led
         if led is not None:
-            led.tally("cpu", "slice",
-                      "preempted" if preempted
-                      else "block_yield" if req.remaining <= _EPS
-                      else "quantum_expiry")
+            led.bump(_SLICE_PREEMPTED if preempted
+                     else _SLICE_BLOCK_YIELD if req.remaining <= _EPS
+                     else _SLICE_QUANTUM_EXPIRY)
         tel = self._tel
         if elapsed > 0 and tel is not None:
             self._observe_slice(req, self._slice_start, elapsed, "low")

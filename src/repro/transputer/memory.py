@@ -214,6 +214,14 @@ class BufferPool:
     ``acquire(h)`` grants a buffer of class <= ``h`` (the highest free
     eligible class, preserving low classes for fresh packets).  Waiters
     are FIFO per arrival among those eligible when a buffer frees.
+
+    Eligibility is monotone in the requested class: a class-``h`` waiter
+    can be served iff some class <= ``h`` is free, i.e. iff ``h`` >= the
+    lowest free class.  Waiters therefore queue in one FIFO per
+    requested class, and the next grant goes to the earliest arrival
+    among the heads of the queues at or above the lowest free class —
+    exactly the waiter a scan of all waiters in arrival order would
+    pick, found in O(num_classes).
     """
 
     def __init__(self, env, num_classes, buffers_per_class, buffer_bytes,
@@ -230,7 +238,11 @@ class BufferPool:
         self.buffer_bytes = buffer_bytes
         self._free = [buffers_per_class] * num_classes
         self._capacity_per_class = buffers_per_class
-        self._waiters = deque()  # (request, enqueue_time)
+        #: One FIFO of ``(arrival seq, request, enqueue_time)`` per
+        #: requested hop class.
+        self._queues = [deque() for _ in range(num_classes)]
+        self._waiting = 0
+        self._arrivals = 0
         self.stats = BufferPoolStats()
 
     @property
@@ -248,8 +260,10 @@ class BufferPool:
             raise ValueError("hop_class must be >= 0")
         hop_class = min(hop_class, self.num_classes - 1)
         req = BufferRequest(self, hop_class, owner=owner)
-        self._waiters.append((req, self.env.now))
-        if len(self._waiters) > 1 or self._eligible(hop_class) is None:
+        self._queues[hop_class].append((self._arrivals, req, self.env.now))
+        self._arrivals += 1
+        self._waiting += 1
+        if self._waiting > 1 or self._eligible(hop_class) is None:
             self.stats.blocked += 1
         self._drain()
         return req
@@ -269,28 +283,34 @@ class BufferPool:
         return None
 
     def _drain(self):
-        # FIFO among waiters, but a blocked low-class waiter must not
-        # block a later high-class waiter whose class is free (that is
-        # the whole point of the structured pool).
-        progressed = True
-        while progressed:
-            progressed = False
-            for i, (req, t0) in enumerate(self._waiters):
-                cls = self._eligible(req.hop_class)
-                if cls is None:
-                    continue
-                del self._waiters[i]
-                self._free[cls] -= 1
-                self.stats.grants += 1
-                wait = self.env.now - t0
-                self.stats.total_wait_time += wait
-                tel = self._tel
-                if tel is not None:
-                    tel.metrics.histogram("buf.wait").observe(wait)
-                    if wait > 0:
-                        tel.slice("buf.wait", f"node{self.node_id}.buffers",
-                                  t0, wait, node=self.node_id, job=req.owner,
-                                  hop_class=req.hop_class)
-                req.succeed(Buffer(self, cls))
-                progressed = True
-                break
+        # FIFO among eligible waiters: a blocked low-class waiter must
+        # not block a later high-class waiter whose class is free (that
+        # is the whole point of the structured pool).
+        free = self._free
+        queues = self._queues
+        top = self.num_classes
+        while self._waiting:
+            lowest = 0
+            while lowest < top and not free[lowest]:
+                lowest += 1
+            head = None
+            for queue in queues[lowest:]:
+                if queue and (head is None or queue[0][0] < head[0][0]):
+                    head = queue
+            if head is None:
+                return
+            _, req, t0 = head.popleft()
+            self._waiting -= 1
+            cls = self._eligible(req.hop_class)
+            free[cls] -= 1
+            self.stats.grants += 1
+            wait = self.env.now - t0
+            self.stats.total_wait_time += wait
+            tel = self._tel
+            if tel is not None:
+                tel.metrics.histogram("buf.wait").observe(wait)
+                if wait > 0:
+                    tel.slice("buf.wait", f"node{self.node_id}.buffers",
+                              t0, wait, node=self.node_id, job=req.owner,
+                              hop_class=req.hop_class)
+            req.succeed(Buffer(self, cls))

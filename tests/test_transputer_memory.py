@@ -4,10 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collections import deque
+
 from repro.sim import Environment
 from repro.transputer.memory import (
     Allocation,
+    Buffer,
     BufferPool,
+    BufferRequest,
     MemoryError_,
     Mmu,
 )
@@ -295,3 +299,112 @@ def test_property_pool_never_over_grants(num_classes, per_class, hops):
     env.run()
     assert pool.free_count() == total
     assert len(done) == len(hops)
+
+
+class _ScanBufferPool:
+    """Reference model of :class:`BufferPool`'s grant order.
+
+    One list of waiters in arrival order, rescanned from the front after
+    every grant: the first waiter with a free class <= its hop class
+    gets the highest such class.  ``BufferPool`` must grant exactly as
+    this scan does, in the same order, with the same statistics.
+    """
+
+    def __init__(self, env, num_classes, buffers_per_class):
+        self.env = env
+        self.num_classes = num_classes
+        self._free = [buffers_per_class] * num_classes
+        self._waiters = deque()  # (request, enqueue_time)
+        self.grants = 0
+        self.blocked = 0
+        self.total_wait_time = 0.0
+
+    def acquire(self, hop_class):
+        hop_class = min(hop_class, self.num_classes - 1)
+        req = BufferRequest(self, hop_class)
+        self._waiters.append((req, self.env.now))
+        if len(self._waiters) > 1 or self._eligible(hop_class) is None:
+            self.blocked += 1
+        self._drain()
+        return req
+
+    def release(self, buffer):
+        buffer.released = True
+        self._free[buffer.cls] += 1
+        self._drain()
+
+    def _eligible(self, hop_class):
+        for cls in range(hop_class, -1, -1):
+            if self._free[cls] > 0:
+                return cls
+        return None
+
+    def _drain(self):
+        progressed = True
+        while progressed:
+            progressed = False
+            for i, (req, t0) in enumerate(self._waiters):
+                cls = self._eligible(req.hop_class)
+                if cls is None:
+                    continue
+                del self._waiters[i]
+                self._free[cls] -= 1
+                self.grants += 1
+                self.total_wait_time += self.env.now - t0
+                req.succeed(Buffer(self, cls))
+                progressed = True
+                break
+
+
+def _run_grant_script(make_pool, script):
+    """Play ``script`` against a fresh pool; returns (pool, grants).
+
+    ``grants`` lists ``(request index, granted class, grant time)`` in
+    the order the requesting processes resumed, which is the order the
+    pool succeeded their requests.
+    """
+    env = Environment()
+    pool = make_pool(env)
+    grants = []
+
+    def proc(env, index, arrival, hop, hold):
+        yield env.timeout(arrival)
+        buf = yield pool.acquire(hop)
+        grants.append((index, buf.cls, env.now))
+        yield env.timeout(hold)
+        buf.release()
+
+    for index, (arrival, hop, hold) in enumerate(script):
+        env.process(proc(env, index, arrival, hop, hold))
+    env.run()
+    return pool, grants
+
+
+#: Arrival and hold times on a 0.3 grid: ties are common, and the sums
+#: are inexact floats, so any reordering of the wait accumulation shows.
+_TIMES = st.integers(min_value=0, max_value=8).map(lambda k: k * 0.3)
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.tuples(_TIMES, st.integers(min_value=0, max_value=8), _TIMES),
+             min_size=1, max_size=30),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_pool_grants_like_the_scan_oracle(num_classes, per_class,
+                                                   script):
+    """The pool grants the same requests, classes and times, in the same
+    order and with the same statistics, as a rescan of all waiters in
+    arrival order (hop classes beyond the top class are clamped)."""
+    pool, grants = _run_grant_script(
+        lambda env: BufferPool(env, num_classes=num_classes,
+                               buffers_per_class=per_class, buffer_bytes=16),
+        script)
+    oracle, expected = _run_grant_script(
+        lambda env: _ScanBufferPool(env, num_classes, per_class), script)
+    assert grants == expected
+    assert len(grants) == len(script)
+    assert pool.stats.grants == oracle.grants
+    assert pool.stats.blocked == oracle.blocked
+    assert pool.stats.total_wait_time == oracle.total_wait_time
