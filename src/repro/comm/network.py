@@ -208,7 +208,7 @@ class _MessageWalker:
         self.done = network.env.event()
         network.env.kick(self._start)
 
-    def _start(self, _event):
+    def _start(self, _key):
         network = self.network
         message = self.message
         cfg = network.config
@@ -310,7 +310,7 @@ class _MessageWalker:
         # packet schedules no urgent work, so this is the same agenda.
         network.env.kick(self._start_packets)
 
-    def _start_packets(self, _event):
+    def _start_packets(self, _key):
         walkers = self.walkers
         self.walkers = None
         kp = self.network._kp

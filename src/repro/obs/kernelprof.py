@@ -51,7 +51,9 @@ Design contract:
   event total apportioned by sampled frequency (largest-remainder, so
   they sum to the total exactly); types rarer than the sampling rate
   may be missing from the breakdown, which is the standard sampling
-  trade-off.
+  trade-off.  Bare callback entries (``env.call_in`` / ``env.kick``)
+  report as one event type, ``Callback``; their callback sites carry
+  the method's qualified name like any other callback.
 """
 
 from __future__ import annotations
@@ -191,7 +193,7 @@ class KernelProfiler:
         self._sampled = 0           # events with step timing
         self._cb_sampled = 0        # events with callback timing
         self.kernel_ns = 0          # measured run()-loop wall-clock
-        self._types = {}   # type -> [samples, callbacks, sampled_ns]
+        self._types = {}   # type name -> [samples, callbacks, sampled_ns]
         self._sites = {}   # callback site -> [count, ns]
         self.max_depth = 0          # peak depth seen at sampled steps
         self._depth_hist = Histogram("kernel.agenda_depth",
@@ -412,14 +414,8 @@ class KernelProfiler:
         kernel_s = self.kernel_ns * _NS
         events = self.pops
 
-        by_name = {}
-        for tp, (n, ncb, ns) in self._types.items():
-            rec = by_name.setdefault(tp.__name__, [0, 0, 0])
-            rec[0] += n
-            rec[1] += ncb
-            rec[2] += ns
-        sampled_ns = sum(rec[2] for rec in by_name.values())
-        sampled_total = sum(rec[0] for rec in by_name.values())
+        sampled_ns = sum(rec[2] for rec in self._types.values())
+        sampled_total = sum(rec[0] for rec in self._types.values())
 
         def type_share(rec):
             if sampled_ns > 0:
@@ -432,7 +428,7 @@ class KernelProfiler:
         if sampled_total:
             remainders = []
             floored = 0
-            for name, rec in by_name.items():
+            for name, rec in self._types.items():
                 quota = events * rec[0] / sampled_total
                 counts[name] = int(quota)
                 floored += int(quota)
@@ -443,7 +439,7 @@ class KernelProfiler:
 
         event_types = {}
         for name, rec in sorted(
-                by_name.items(),
+                self._types.items(),
                 key=lambda kv: (-type_share(kv[1]), kv[0])):
             share = type_share(rec)
             count = counts.get(name, 0)

@@ -4,7 +4,9 @@ A from-scratch, deterministic, generator-coroutine DES kernel in the style
 of SimPy, providing the substrate every other subsystem of this
 reproduction is built on.  The public surface:
 
-- :class:`~repro.sim.environment.Environment` — the event loop and clock.
+- :class:`~repro.sim.environment.Environment` — the event loop and clock;
+  its ``call_in`` / ``kick`` schedule a bound method as a bare agenda
+  entry, without an event.
 - :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.Process` — the event primitives.
 - :class:`~repro.sim.events.Interrupt` — asynchronous exception delivered

@@ -6,15 +6,14 @@ from heapq import heappop, heappush
 from itertools import count
 from sys import getrefcount
 from time import perf_counter_ns
+from types import MethodType
 
 from repro.sim.events import (
     NORMAL,
     PENDING,
-    URGENT,
     AllOf,
     AnyOf,
     Event,
-    Initialize,
     Process,
     Timeout,
 )
@@ -47,6 +46,15 @@ _NORMAL_BASE = NORMAL << _PRIORITY_SHIFT
 #: back to ordinary scheduling, bounding stack growth without changing
 #: behaviour.
 _HANDOFF_LIMIT = 64
+
+#: Class of a *bare* agenda entry: a bound method scheduled by
+#: :meth:`Environment.call_in` or :meth:`Environment.kick` in place of an
+#: event, and called with its agenda key.  The run loops tell the two
+#: kinds of entry apart by this one class-identity test.
+_BARE = MethodType
+
+#: Event-type name under which the kernel profiler files bare entries.
+_BARE_TYPE = "Callback"
 
 
 def set_kernel_profiler(profiler):
@@ -97,7 +105,9 @@ class Environment:
     packed key folds priority and sequence into one integer (see
     ``_PRIORITY_SHIFT``).  Processing an event runs its callbacks, which
     typically resume waiting processes, which trigger further events,
-    and so on.
+    and so on.  An entry may also hold a bare bound method in place of
+    the event (see :meth:`call_in`); processing it calls the method with
+    the entry's key.
 
     Determinism: the monotone sequence number guarantees FIFO processing
     of same-time, same-priority events, so repeated runs of the same
@@ -111,7 +121,8 @@ class Environment:
 
     def __init__(self, initial_time=0.0):
         self._now = initial_time
-        self._queue = []  # heap of (time, (priority << 56) | seq, event)
+        # heap of (time, (priority << 56) | seq, event or bound method)
+        self._queue = []
         self._seq = count()
         self._active_process = None
         #: Number of events processed so far (useful for budget guards
@@ -140,7 +151,6 @@ class Environment:
         #: construction), so decisions cost nothing when disabled.
         self.decisions = None
         self._free_timeouts = []
-        self._free_inits = []
         #: Optional :class:`repro.obs.kernelprof.KernelProfiler`
         #: measuring the *host* cost of this environment's event loop.
         #: Captured from the process-global slot at construction; the
@@ -193,22 +203,37 @@ class Environment:
             return event
         return Timeout(self, delay, value)
 
-    def kick(self, callback):
-        """Schedule ``callback`` to run once, urgently, at the current time.
+    def call_in(self, delay, callback):
+        """Schedule the bound method ``callback`` to run after ``delay``.
 
-        The pooled factory behind process initialisation and
-        callback-driven state machines (see
-        :class:`~repro.comm.network.Network`).  Returns the
-        :class:`Initialize` event carrying the callback.
+        For model code that never yields the timer, this does what
+        ``timeout(delay).callbacks.append(callback)`` does without the
+        event: the agenda holds the bound method itself as a NORMAL
+        entry, and the run loop calls it as ``callback(key)``.  Returns
+        ``key``, the entry's agenda key, which is unique, so a caller can
+        recognise (and ignore) an entry it has since abandoned.  Same
+        delay validation as :meth:`timeout`, and the sequence number is
+        drawn at the call as ``timeout`` draws its own, so entries of
+        both kinds share one same-time FIFO order.
         """
-        free = self._free_inits
-        if free:
-            event = free.pop()
-            event.callbacks = [callback]
-            heappush(self._queue,
-                     (self._now, next(self._seq), event))  # URGENT: key=seq
-            return event
-        return Initialize(self, callback)
+        if delay < 0 or delay != delay:
+            raise ValueError(f"invalid delay {delay}")
+        key = _NORMAL_BASE | next(self._seq)
+        heappush(self._queue, (self._now + delay, key, callback))
+        return key
+
+    def kick(self, callback):
+        """Schedule the bound method ``callback`` to run once, urgently,
+        at the current time.
+
+        Starts processes and callback-driven state machines (see
+        :class:`~repro.comm.network.Network`).  Pushes a bare URGENT
+        entry (the packed key is the bare sequence number); the run loop
+        calls ``callback(key)``.  Returns the key.
+        """
+        key = next(self._seq)
+        heappush(self._queue, (self._now, key, callback))
+        return key
 
     def process(self, generator, name=None):
         """Start a new :class:`Process` driving ``generator``."""
@@ -310,18 +335,14 @@ class Environment:
         the caller's local, this function's argument, and the probe
         argument (the inlined run loops use 2: loop local + probe).
         That proves no model code kept a handle, so reuse cannot be
-        observed.  Only exact :class:`Timeout` / :class:`Initialize`
-        instances are pooled; both are always-ok events, so the
-        unhandled-failure check is skipped for them.
+        observed.  Only exact :class:`Timeout` instances are pooled; it
+        is an always-ok event, so the unhandled-failure check is skipped
+        for it.
         """
-        cls = event.__class__
-        if cls is Timeout:
+        if event.__class__ is Timeout:
             if getrefcount(event) == 3:
                 event._value = None
                 self._free_timeouts.append(event)
-        elif cls is Initialize:
-            if getrefcount(event) == 3:
-                self._free_inits.append(event)
         elif not event._ok and not event._defused:
             # An unhandled failure: surface it so bugs don't pass silently.
             raise event._value
@@ -347,7 +368,7 @@ class Environment:
                 return self._step_sampled(kp)
             kp._countdown = k
         try:
-            self._now, _, event = heappop(self._queue)
+            self._now, key, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule("no scheduled events") from None
 
@@ -356,6 +377,11 @@ class Environment:
         # below) must not leave the counter understating the number of
         # events the loop consumed.
         self.events_processed += 1
+        if event.__class__ is _BARE:
+            # A bare entry is its own single callback, so the tail flag
+            # stays True, as for a one-callback event.
+            event(key)
+            return
         callbacks, event.callbacks = event.callbacks, None
         # Tail-flag discipline (here and in every loop below): the flag
         # is True while the callback being dispatched is the last of its
@@ -390,9 +416,8 @@ class Environment:
         pop = heappop
         refs = getrefcount
         free_timeouts = self._free_timeouts
-        free_inits = self._free_inits
         timeout_cls = Timeout
-        init_cls = Initialize
+        bare = _BARE
         k = kp._countdown
         try:
             while True:
@@ -404,10 +429,14 @@ class Environment:
                         k = kp._countdown  # the freshly drawn gap
                     continue
                 try:
-                    self._now, _, event = pop(queue)
+                    self._now, key, event = pop(queue)
                 except IndexError:
                     raise EmptySchedule("no scheduled events") from None
                 self.events_processed += 1
+                cls = event.__class__
+                if cls is bare:
+                    event(key)
+                    continue
                 callbacks, event.callbacks = event.callbacks, None
                 n = len(callbacks)
                 if n == 1:
@@ -419,14 +448,10 @@ class Environment:
                         callback(event)
                     self._tail_ok = True
                     callbacks[n](event)
-                cls = event.__class__
                 if cls is timeout_cls:
                     if refs(event) == 2:
                         event._value = None
                         free_timeouts.append(event)
-                elif cls is init_cls:
-                    if refs(event) == 2:
-                        free_inits.append(event)
                 elif not event._ok and not event._defused:
                     raise event._value
         finally:
@@ -476,47 +501,47 @@ class Environment:
             kp.max_depth = depth
         kp._depth_hist.observe(depth)
         t0 = perf_counter_ns()
-        self._now, _, event = heappop(self._queue)
+        self._now, key, event = heappop(self._queue)
         self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
+        name, callbacks, arg = self._unpack(event, key)
         kp._sampled += 1
-        rec = kp._types.get(event.__class__)
+        rec = kp._types.get(name)
         if rec is None:
-            rec = kp._types[event.__class__] = [0, 0, 0]
+            rec = kp._types[name] = [0, 0, 0]
         rec[0] += 1
         rec[1] += len(callbacks)
         try:
             n = len(callbacks)
             if n == 1:
-                callbacks[0](event)
+                callbacks[0](arg)
             elif n:
                 self._tail_ok = False
                 n -= 1
                 for callback in callbacks[:n]:
-                    callback(event)
+                    callback(arg)
                 self._tail_ok = True
-                callbacks[n](event)
+                callbacks[n](arg)
         finally:
             # finally: a raising callback still gets its time charged.
             t1 = perf_counter_ns()
             rec[2] += t1 - t0
             if kp.timeline_every and kp._sampled >= kp._next_mark:
                 kp._mark(t1)
-        if not event._ok and not event._defused:
+        if arg is event and not event._ok and not event._defused:
             raise event._value
 
     def _step_callbacks_timed(self, kp):
         """Sampled step: time each callback, charge its callsite."""
         try:
-            self._now, _, event = heappop(self._queue)
+            self._now, key, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule("no scheduled events") from None
         self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
+        name, callbacks, arg = self._unpack(event, key)
         kp._cb_sampled += 1
-        rec = kp._types.get(event.__class__)
+        rec = kp._types.get(name)
         if rec is None:
-            rec = kp._types[event.__class__] = [0, 0, 0]
+            rec = kp._types[name] = [0, 0, 0]
         rec[0] += 1
         rec[1] += len(callbacks)
         last = len(callbacks) - 1
@@ -526,10 +551,23 @@ class Environment:
             if i == last:
                 self._tail_ok = True
             c0 = perf_counter_ns()
-            callback(event)
+            callback(arg)
             kp.record_callback(callback, perf_counter_ns() - c0)
-        if not event._ok and not event._defused:
+        if arg is event and not event._ok and not event._defused:
             raise event._value
+
+    @staticmethod
+    def _unpack(event, key):
+        """A popped entry as ``(type name, callbacks, callback argument)``.
+
+        Sampled steps only.  A bare entry is one callback taking its
+        key, filed under the type name ``Callback``; an event retires
+        its callback list, and its callbacks take the event.
+        """
+        if event.__class__ is _BARE:
+            return _BARE_TYPE, (event,), key
+        callbacks, event.callbacks = event.callbacks, None
+        return event.__class__.__name__, callbacks, event
 
     def run(self, until=None):
         """Run the simulation.
@@ -600,7 +638,7 @@ class Environment:
 
         Semantically ``while True: self.step()``, with every per-event
         attribute load hoisted into a local: the heap, ``heappop``,
-        the free lists and the class probes.  The
+        the free list and the class probes.  The
         events-processed counter is accumulated locally and flushed in
         the ``finally`` (exactly once per consumed event, even when a
         callback raises); nothing reads it mid-loop when the profiler
@@ -610,17 +648,20 @@ class Environment:
         pop = heappop
         refs = getrefcount
         free_timeouts = self._free_timeouts
-        free_inits = self._free_inits
         timeout_cls = Timeout
-        init_cls = Initialize
+        bare = _BARE
         n = 0
         try:
             while True:
                 try:
-                    self._now, _, event = pop(queue)
+                    self._now, key, event = pop(queue)
                 except IndexError:
                     raise EmptySchedule("no scheduled events") from None
                 n += 1
+                cls = event.__class__
+                if cls is bare:
+                    event(key)
+                    continue
                 callbacks, event.callbacks = event.callbacks, None
                 ncb = len(callbacks)
                 if ncb == 1:
@@ -632,14 +673,10 @@ class Environment:
                         callback(event)
                     self._tail_ok = True
                     callbacks[ncb](event)
-                cls = event.__class__
                 if cls is timeout_cls:
                     if refs(event) == 2:
                         event._value = None
                         free_timeouts.append(event)
-                elif cls is init_cls:
-                    if refs(event) == 2:
-                        free_inits.append(event)
                 elif not event._ok and not event._defused:
                     raise event._value
         finally:

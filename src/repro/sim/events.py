@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.sim.exceptions import SimulationError, StopProcess
 
 #: Scheduling priority for events that must run before same-time normal
-#: events (used for interrupts and process initialisation).
+#: events (used for interrupts and for process and state-machine kicks).
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
@@ -151,22 +151,15 @@ class Timeout(Event):
         return f"<Timeout({self.delay}) at {id(self):#x}>"
 
 
-class Initialize(Event):
-    """Internal urgent event that runs one callback at the current time.
-
-    Used to start freshly created processes and to kick callback-driven
-    state machines (see :meth:`Environment.kick`).  Instances are pooled
-    by the environment (see :meth:`Environment._recycle`).
-    """
+class _Start:
+    """The outcome a process's generator starts with: ``send(None)``."""
 
     __slots__ = ()
+    _ok = True
+    _value = None
 
-    def __init__(self, env, callback):
-        super().__init__(env)
-        self.callbacks = [callback]
-        self._ok = True
-        self._value = None
-        env.schedule(self, priority=URGENT)
+
+_START = _Start()
 
 
 class Interrupt(Exception):
@@ -224,7 +217,7 @@ class Process(Event):
         self._target = None
         self._resume_cb = self._resume
         self.name = name or getattr(generator, "__name__", "process")
-        env.kick(self._resume_cb)
+        env.kick(self._start)
 
     @property
     def target(self):
@@ -251,6 +244,10 @@ class Process(Event):
         _InterruptEvent(self.env, self, cause)
 
     # -- internal ------------------------------------------------------
+    def _start(self, _key):
+        """Run the generator to its first ``yield`` (the kick's callback)."""
+        self._resume(_START)
+
     def _resume_interrupt(self, event):
         """Deliver an interrupt, detaching from the current target."""
         if not self.is_alive:  # terminated between scheduling and delivery

@@ -15,8 +15,12 @@ The Transputer maintains two ready queues in hardware:
   deviation from the hardware: a high-priority arrival while a
   low-priority dispatch is still paying its context-switch overhead
   does not preempt — the low slice then runs its whole quantum before
-  the high-priority work gets the CPU (pinned as an expected failure
-  in ``tests/test_transputer_cpu.py``).
+  the high-priority work gets the CPU.  A second deviation has the same
+  root cause: :meth:`Cpu.pause_tag` does not see a request that is
+  paying its context-switch overhead, so gang scheduling's pause lets
+  that request run a slice (its whole burst, if it is alone) while its
+  job is descheduled.  Both are pinned as expected failures in
+  ``tests/test_transputer_cpu.py``.
 
 The public operation is :meth:`Cpu.execute`: submit a burst of
 ``work_seconds`` of computation at a priority (and optional per-request
@@ -132,17 +136,16 @@ class Cpu:
         self._running = None         # request currently holding the CPU
         self._slice_interruptible = False
         self._interrupt_requested = False
-        # Dispatch runs as a callback state machine.  The bound
-        # continuations are cached once: they are parked on (and removed
-        # from) events every slice, and a fresh bound method per park
-        # would cost an allocation in the hottest model path.  ``_timer``
-        # holds the pending overhead/slice Timeout; the continuations
-        # clear it before returning so the event loop's sole-owner probe
-        # lets the timeout recycle through the free list — one pooled
-        # timer serves every slice of this CPU.
+        # Dispatch runs as a callback state machine whose timers are bare
+        # agenda entries (``env.call_in``): no event object per slice.
+        # The bound continuations are cached once, since a fresh bound
+        # method per timer would cost an allocation in the hottest model
+        # path.  ``_timer`` holds the agenda key of the pending LOW slice;
+        # an interrupt clears it, which orphans that entry (it still pops
+        # and is counted, and ``_cb_low_end`` ignores it).
         self._cur = None             # request paying context-switch cost
         self._cur_prio = LOW
-        self._timer = None           # pending overhead/slice Timeout
+        self._timer = None           # agenda key of the pending LOW slice
         self._slice_start = 0.0
         self._slice_len = 0.0
         self._wakeup_cb = self._cb_wakeup
@@ -229,11 +232,10 @@ class Cpu:
 
     @property
     def queue_length(self):
-        """Requests waiting or running (system backlog)."""
-        backlog = len(self._high) + len(self._low)
-        if self._running is not None:
-            backlog += 1
-        return backlog
+        """Requests waiting, paying context-switch overhead, or running
+        (system backlog)."""
+        return (len(self._high) + len(self._low)
+                + (self._cur is not None) + (self._running is not None))
 
     @property
     def running(self):
@@ -266,7 +268,7 @@ class Cpu:
     # handoff is order-equivalent to scheduling the completion and
     # popping it next.
 
-    def _cb_boot(self, _event):
+    def _cb_boot(self, _key):
         self._dispatch_next()
 
     def _dispatch_next(self):
@@ -285,9 +287,7 @@ class Cpu:
         if cost > 0:
             self._cur = req
             self._cur_prio = prio
-            timer = self.env.timeout(cost)
-            timer.callbacks.append(self._overhead_cb)
-            self._timer = timer
+            self.env.call_in(cost, self._overhead_cb)
             return
         if prio == HIGH:
             self._begin_high(req)
@@ -298,8 +298,7 @@ class Cpu:
         self._wakeup = None
         self._dispatch_next()
 
-    def _cb_overhead(self, _event):
-        self._timer = None
+    def _cb_overhead(self, _key):
         self.stats.overhead_time += self._overhead
         req = self._cur
         self._cur = None
@@ -319,12 +318,9 @@ class Cpu:
         self.stats.dispatches += 1
         self._slice_start = env.now
         self._slice_len = req.remaining
-        timer = env.timeout(req.remaining)
-        timer.callbacks.append(self._high_end_cb)
-        self._timer = timer
+        env.call_in(req.remaining, self._high_end_cb)
 
-    def _cb_high_end(self, _event):
-        self._timer = None
+    def _cb_high_end(self, _key):
         req = self._running
         burst = self._slice_len
         req.remaining = 0.0
@@ -366,25 +362,17 @@ class Cpu:
             led.bump(_ARM_KEYS[self._slice_interruptible])
         self._slice_start = env.now
         self._slice_len = slice_len
-        timer = env.timeout(slice_len)
-        timer.callbacks.append(self._low_end_cb)
-        self._timer = timer
+        self._timer = env.call_in(slice_len, self._low_end_cb)
 
-    def _cb_low_end(self, _event):
-        self._timer = None
+    def _cb_low_end(self, key):
+        if key != self._timer:
+            return  # the entry of a slice an interrupt already ended
         self._finish_low(self._slice_len, False)
 
-    def _cb_interrupt(self, _event):
-        # Detach from the pending slice timer (its stale agenda entry
-        # then pops with none of our callbacks and recycles) and credit
+    def _cb_interrupt(self, _key):
+        # Orphan the pending slice entry (see ``_cb_low_end``) and credit
         # the elapsed part of the slice.
-        timer = self._timer
         self._timer = None
-        if timer is not None and timer.callbacks is not None:
-            try:
-                timer.callbacks.remove(self._low_end_cb)
-            except ValueError:
-                pass
         self._interrupt_requested = False
         self.stats.preemptions += 1
         self._finish_low(self.env.now - self._slice_start, True)

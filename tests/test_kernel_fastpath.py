@@ -1,10 +1,10 @@
 """Regression coverage for the kernel fast path.
 
-The hot-path speed pass (packed agenda keys, pooled Timeout/Initialize
-events, lazy resource tombstones, callback-based packet walkers) must be
-*observably free*: every test here pins behaviour that the optimisations
-could plausibly have changed — agenda ordering, event-object lifecycle,
-eviction choices, profiled stepping.  Whole-model trajectories are
+The hot-path speed passes (packed agenda keys, pooled Timeout events,
+bare callback agenda entries, lazy resource tombstones, callback-based
+packet walkers) must be *observably free*: every test here pins
+behaviour that the optimisations could plausibly have changed — agenda
+ordering, event-object lifecycle, eviction choices, profiled stepping.  Whole-model trajectories are
 pinned by the golden run documents in ``tests/test_golden_documents.py``.
 """
 
@@ -19,6 +19,7 @@ from repro.sim import (
     SimulationError,
     Timeout,
 )
+from repro.transputer import HIGH, LOW, Cpu, TransputerConfig
 
 
 # -- agenda ordering under the packed key --------------------------------
@@ -275,3 +276,177 @@ def test_run_all_max_events_bound_unchanged_when_profiled(sample_every):
         profiled = [stop_after(workers, n) for n in bounds]
     assert profiled == plain
     assert kp.pops == 25 + sum(profiled)
+
+
+# -- bare callback entries --------------------------------------------------
+class _Recorder:
+    """Owns a bound method to schedule as a bare agenda entry."""
+
+    def __init__(self, env, log, name):
+        self.env, self.log, self.name = env, log, name
+
+    def fire(self, key):
+        self.log.append((self.name, self.env.now, key))
+
+
+class _Ticker:
+    """A chain of bare entries: each firing schedules the next."""
+
+    def __init__(self, env, n):
+        self.env, self.n, self.log = env, n, []
+
+    def tick(self, _key):
+        self.log.append(self.env.now)
+        if len(self.log) < self.n:
+            self.env.call_in(1.0, self.tick)
+
+
+def test_call_in_rejects_negative_and_nan_delays():
+    env = Environment()
+    fire = _Recorder(env, [], "x").fire
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="invalid delay"):
+            env.call_in(delay, fire)
+    assert not env._queue
+
+
+def test_bare_entries_timeouts_and_kicks_keep_same_time_fifo():
+    """One sequence counter orders every kind of entry: at one instant
+    the URGENT kicks run first, in kick order, then the NORMAL
+    ``call_in`` entries and Timeouts in the order they were scheduled.
+    Each bare callback receives the key its scheduling call returned."""
+    env = Environment()
+    log = []
+
+    def bare(name, delay=None):
+        fire = _Recorder(env, log, name).fire
+        if delay is None:
+            return env.kick(fire)
+        return env.call_in(delay, fire)
+
+    def timeout(name, delay):
+        env.timeout(delay).callbacks.append(
+            lambda e: log.append((name, env.now, None)))
+
+    keys = {"n1": bare("n1", 0.0)}
+    timeout("t1", 0.0)
+    keys["u1"] = bare("u1")
+    keys["late"] = bare("late", 1.0)
+    timeout("t-late", 1.0)
+    keys["n2"] = bare("n2", 0.0)
+    keys["u2"] = bare("u2")
+    timeout("t2", 0.0)
+    env.run_all()
+    assert [name for name, _now, _key in log] == [
+        "u1", "u2", "n1", "t1", "n2", "t2", "late", "t-late"]
+    assert {name: key for name, _now, key in log if key is not None} == keys
+    assert env.events_processed == 8
+
+
+def test_interrupted_low_slice_leaves_a_counted_no_op_entry():
+    """A HIGH arrival interrupts an extended LOW slice; the slice's
+    agenda entry stays queued, then pops as one counted event that
+    changes nothing."""
+    env = Environment()
+    cpu = Cpu(env, TransputerConfig(context_switch_overhead=0.0), node_id=0)
+    low = cpu.execute(1.0, LOW)
+
+    def inject(env):
+        yield env.timeout(0.5)
+        yield cpu.execute(0.1, HIGH)
+
+    env.process(inject(env))
+    while env.peek() < 1.0:
+        env.step()
+    when, key, entry = env._queue[0]
+    assert (when, entry) == (1.0, cpu._low_end_cb)
+    assert key != cpu._timer and cpu.running is low
+    state = (low.remaining, low.cpu_time, cpu.stats.dispatches,
+             cpu.stats.preemptions, cpu._timer)
+    events = env.events_processed
+    env.step()
+    assert env.events_processed == events + 1
+    assert (low.remaining, low.cpu_time, cpu.stats.dispatches,
+            cpu.stats.preemptions, cpu._timer) == state
+    assert cpu.running is low
+    env.run()
+    assert env.now == pytest.approx(1.1)
+    assert low.cpu_time == pytest.approx(1.0)
+    assert cpu.stats.preemptions == 1
+
+
+def test_step_dispatches_bare_entries():
+    env = Environment()
+    ticker = _Ticker(env, 3)
+    env.kick(ticker.tick)
+    env.step()
+    assert ticker.log == [0.0] and env.events_processed == 1
+    env.step()
+    assert ticker.log == [0.0, 1.0] and env.events_processed == 2
+
+
+def test_run_all_max_events_counts_bare_entries():
+    env = Environment()
+    ticker = _Ticker(env, 100)
+    env.kick(ticker.tick)
+    with pytest.raises(SimulationError, match="exceeded 10 "):
+        env.run_all(max_events=10)
+    assert env.events_processed == 10 and len(ticker.log) == 10
+
+
+@pytest.mark.parametrize("method", ["run", "run_all"])
+@pytest.mark.parametrize("sample_every", [1, 5])
+def test_profiled_loop_dispatches_bare_entries(method, sample_every):
+    """Under the profiler, bare entries run in every stream and report
+    as one event type, ``Callback``, with the method's qualname as the
+    callback site."""
+    with kernel_profile(sample_every=sample_every) as kp:
+        env = Environment()
+        ticker = _Ticker(env, 50)
+        env.kick(ticker.tick)
+        getattr(env, method)()
+    assert ticker.log == [float(i) for i in range(50)]
+    doc = kp.document()
+    assert doc["event_types"]["Callback"]["count"] == 50
+    assert doc["event_types"]["Callback"]["callbacks"] == 50
+    assert "_Ticker.tick" in doc["callback_sites"]
+    assert "Initialize" not in doc["event_types"]
+
+
+def test_handoff_from_a_bare_callback_takes_the_fast_path():
+    env = Environment()
+    done = env.event()
+    log = []
+    done.callbacks.append(lambda e: log.append(("waiter", env.now)))
+
+    class Finisher:
+        def finish(self, _key):
+            env.handoff(done, "v")
+            log.append(("after", env.now))
+
+    env.call_in(2.0, Finisher().finish)
+    env.run()
+    assert log == [("waiter", 2.0), ("after", 2.0)]  # dispatched inline
+    assert env.handoffs == 1 and env.events_processed == 2
+
+
+def test_cpu_only_run_constructs_no_timeout(monkeypatch):
+    """Context switches, quantum expiries, a preemption and completions,
+    all without a Timeout: the CPU's timers are bare entries."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a CPU-only run built a Timeout")
+
+    monkeypatch.setattr(Timeout, "__init__", forbidden)
+    env = Environment()
+    cpu = Cpu(env, TransputerConfig(), node_id=0)
+    reqs = [cpu.execute(0.010, LOW, tag=i) for i in range(3)]
+
+    class Injector:
+        def inject(self, _key):
+            reqs.append(cpu.execute(0.001, HIGH))
+
+    env.call_in(0.005, Injector().inject)
+    env.run()
+    assert len(reqs) == 4 and all(req.processed for req in reqs)
+    assert cpu.stats.preemptions == 1
+    assert cpu.stats.dispatches > len(reqs)  # quantum expiries too

@@ -206,6 +206,39 @@ def test_queue_length_reports_backlog():
     assert cpu.queue_length == 0
 
 
+def test_queue_length_counts_request_paying_context_switch():
+    """A lone LOW burst is backlog from submission on: while it pays its
+    25 us context switch (t = 10 us) as well as once it runs (t = 30 us)."""
+    env = Environment()
+    cpu = Cpu(env, TransputerConfig(), node_id=0)
+    cpu.execute(0.010, LOW)
+    env.run(until=10e-6)
+    assert cpu.queue_length == 1
+    env.run(until=30e-6)
+    assert cpu.queue_length == 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known gang bug (same root cause as the HIGH-during-context-switch "
+    "inversion): pause_tag cannot see the request paying context-switch "
+    "overhead, so the paused request still runs — its whole 10 ms alone, "
+    "a 2 ms quantum with a second burst queued"))
+@pytest.mark.parametrize("with_second_burst", [False, True])
+def test_pause_during_context_switch_parks_the_request(with_second_burst):
+    env = Environment()
+    cpu = Cpu(env, TransputerConfig(), node_id=0)
+    a = cpu.execute(0.010, LOW, tag="a")
+    if with_second_burst:
+        cpu.execute(0.010, LOW, tag="b")
+    env.run(until=10e-6)
+    cpu.pause_tag("a")
+    env.run(until=0.050)
+    assert a.cpu_time == 0 and not a.triggered
+    cpu.resume_tag("a")
+    env.run()
+    assert a.cpu_time == pytest.approx(0.010)
+
+
 def test_fairness_two_jobs_rr_job_quanta():
     """RR-job rule: quantum proportional to P/T equalises *job* shares.
 
