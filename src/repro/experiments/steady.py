@@ -65,8 +65,15 @@ def _spec_factory(mean_ops):
 
 def steady_cell(policy_kind, rate, duration, *, nodes=4, topology="mesh",
                 mean_ops=DEFAULT_MEAN_OPS, seed=7, window=None, log=None,
-                decisions=False):
+                decisions=False, arrival="poisson", mean_on=2.0,
+                mean_off=2.0):
     """Run one open-system cell; returns an ``OpenRunResult``.
+
+    ``arrival`` is ``"poisson"`` or ``"bursty"`` (MMPP on/off with mean
+    phase lengths ``mean_on`` / ``mean_off``).  ``rate`` is the
+    *offered* long-run rate either way: the in-burst peak rate is
+    scaled up by ``(mean_on + mean_off) / mean_on`` so the two arrival
+    disciplines are comparable at equal offered load.
 
     ``window`` defaults to 2% of ``duration`` so every cell emits ~50
     windows regardless of scale; pass an explicit width to align
@@ -87,44 +94,25 @@ def steady_cell(policy_kind, rate, duration, *, nodes=4, topology="mesh",
         ) from None
     rng = np.random.default_rng(seed)
     factory = _spec_factory(mean_ops)
-    arrivals = poisson_arrivals(rate, duration, factory, rng)
+    label = f"{policy_kind}@{rate:g}/s"
+    if arrival == "poisson":
+        arrivals = poisson_arrivals(rate, duration, factory, rng)
+    elif arrival == "bursty":
+        peak = rate * (mean_on + mean_off) / mean_on
+        arrivals = bursty_arrivals(peak, duration, factory, rng,
+                                   mean_on=mean_on, mean_off=mean_off)
+        label += " bursty"
+    else:
+        raise ValueError(
+            f"unknown arrival discipline {arrival!r}; choose "
+            f"'poisson' or 'bursty'"
+        )
     sink = SteadyStateSink(window=window or duration / 50.0, log=log)
     config = SystemConfig(num_nodes=nodes, topology=topology,
                           decisions=decisions)
     system = MulticomputerSystem(config, build())
     return system.run_open(
-        arrivals, collect_jobs=False, sink=sink,
-        label=f"{policy_kind}@{rate:g}/s",
-    )
-
-
-def steady_cell_bursty(policy_kind, rate, duration, *, nodes=4,
-                       topology="mesh", mean_ops=DEFAULT_MEAN_OPS, seed=7,
-                       window=None, log=None, mean_on=2.0, mean_off=2.0,
-                       decisions=False):
-    """Bursty (MMPP on/off) variant of :func:`steady_cell`.
-
-    ``rate`` is the *offered* long-run rate; the in-burst peak rate is
-    scaled up by ``(mean_on + mean_off) / mean_on`` so the two arrival
-    disciplines are comparable at equal offered load.
-    """
-    import numpy as np
-
-    from repro.obs.streaming import SteadyStateSink
-
-    build = POLICIES[policy_kind]
-    rng = np.random.default_rng(seed)
-    factory = _spec_factory(mean_ops)
-    peak = rate * (mean_on + mean_off) / mean_on
-    arrivals = bursty_arrivals(peak, duration, factory, rng,
-                               mean_on=mean_on, mean_off=mean_off)
-    sink = SteadyStateSink(window=window or duration / 50.0, log=log)
-    config = SystemConfig(num_nodes=nodes, topology=topology,
-                          decisions=decisions)
-    system = MulticomputerSystem(config, build())
-    return system.run_open(
-        arrivals, collect_jobs=False, sink=sink,
-        label=f"{policy_kind}@{rate:g}/s bursty",
+        arrivals, collect_jobs=False, sink=sink, label=label,
     )
 
 
@@ -145,21 +133,10 @@ def run_steady_sweep(rhos=DEFAULT_RHOS, policies=("static", "ts"), *,
     for policy in policies:
         for rho in rhos:
             rate = rho * nodes * service_rate
-            if arrival == "bursty":
-                result = steady_cell_bursty(
-                    policy, rate, duration, nodes=nodes, topology=topology,
-                    mean_ops=mean_ops, seed=seed, window=window, log=log,
-                    decisions=decisions)
-            elif arrival == "poisson":
-                result = steady_cell(
-                    policy, rate, duration, nodes=nodes, topology=topology,
-                    mean_ops=mean_ops, seed=seed, window=window, log=log,
-                    decisions=decisions)
-            else:
-                raise ValueError(
-                    f"unknown arrival discipline {arrival!r}; choose "
-                    f"'poisson' or 'bursty'"
-                )
+            result = steady_cell(
+                policy, rate, duration, nodes=nodes, topology=topology,
+                mean_ops=mean_ops, seed=seed, window=window, log=log,
+                decisions=decisions, arrival=arrival)
             steady = result.steady
             row = {
                 "policy": policy,

@@ -19,9 +19,8 @@ why-records — share one segmented grammar, written by
 (:mod:`repro.obs.schemas`).
 
 Instrumentation is zero-cost when disabled: the environment's
-``telemetry`` attribute stays ``None`` and every site guards on it, and
-code that prefers to hold a registry unconditionally can use the shared
-:data:`NULL_REGISTRY`.  Recording never creates simulation events, so
+``telemetry`` attribute stays ``None`` and every site guards on it.
+Recording never creates simulation events, so
 telemetry cannot perturb simulated time.
 """
 
@@ -44,13 +43,11 @@ from repro.obs.diff import (
 from repro.obs.jsonl import jsonl_lines, jsonl_records, write_jsonl
 from repro.obs.metrics import (
     DEFAULT_BOUNDARIES,
-    NULL_REGISTRY,
     Counter,
     FrozenGauge,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     log_boundaries,
 )
 from repro.obs.perfetto import (
@@ -119,7 +116,7 @@ from repro.obs.sweeplog import (
     SweepLog,
     SweepObserver,
 )
-from repro.obs.telemetry import Telemetry, attach, registry_of
+from repro.obs.telemetry import Telemetry, attach
 
 __all__ = [
     "BUCKETS",
@@ -139,8 +136,6 @@ __all__ = [
     "KernelProfiler",
     "MetricsRegistry",
     "MultiObserver",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "OnlineStats",
     "OpenRunResult",
     "Profile",
@@ -189,7 +184,6 @@ __all__ = [
     "register_phase",
     "read_segments",
     "register_schema",
-    "registry_of",
     "schema_ids",
     "sniff_schema",
     "slice_spans",

@@ -25,12 +25,12 @@ Design contract:
   process-global slot (:func:`repro.sim.environment.set_kernel_profiler`)
   that every :class:`~repro.sim.environment.Environment` captures at
   construction.  With no profiler installed the event loop pays one
-  attribute load per step — the same guard discipline as telemetry —
+  attribute load per call — the same guard discipline as telemetry —
   and the simulated trajectory is byte-identical either way, because
   the profiler only reads host clocks and updates host-side tallies.
 - **Low overhead when on.**  Even one dict operation per event costs a
   measurable fraction of the cheapest whole events, so the hot path
-  pays only a countdown decrement.  Everything attributable is
+  pays one countdown per sampling gap.  Everything attributable is
   *sampled*: when the countdown expires the event lands in one of two
   alternating streams — step-timed (per-type attribution, agenda
   depth) or callback-timed (per-callsite attribution) — with gaps
@@ -184,7 +184,7 @@ class KernelProfiler:
         #: nothing.
         self._envs = []    # [env, events_processed baseline, handoffs baseline]
         self._pending_baseline = 0   # events already queued at attach()
-        # -- hot-path state (touched from Environment._run_profiled) --
+        # -- hot-path state (touched from Environment.run / step) --
         self._countdown = 1         # events until the next sample;
         #                             1 so the first event is sampled
         self._stream = 0            # 0: step-timed next, 1: callbacks
@@ -321,8 +321,8 @@ class KernelProfiler:
         return self.pops - self.handoffs + pending - self._pending_baseline
 
     # -- hot-path recording (called from the event loop) -----------------
-    # The per-event bookkeeping itself lives inline in
-    # Environment.step / _step_timed / _step_callbacks_timed —
+    # The countdown and per-type bookkeeping live inline in
+    # Environment.run / step / _step_timed / _step_callbacks_timed —
     # method-call overhead there would blow the <5% budget.  Only the
     # sampled, amortised entry points live here.
     def record_callback(self, callback, ns):

@@ -15,10 +15,7 @@ Three instrument kinds, mirroring the usual metrics vocabulary:
   bucket counts simply add.
 
 A :class:`MetricsRegistry` hands out instruments by name with
-get-or-create semantics.  The disabled counterpart,
-:class:`NullRegistry`, returns shared no-op instruments, so
-instrumentation sites can call ``registry.counter("x").inc()``
-unconditionally with negligible cost when telemetry is off.
+get-or-create semantics.
 """
 
 from __future__ import annotations
@@ -284,8 +281,6 @@ class MetricsRegistry:
     ``mem.job.node5.in_use``) so the exporters can place them.
     """
 
-    enabled = True
-
     def __init__(self, env=None, series=True, max_series_points=100_000):
         self.env = env
         self.series = series
@@ -411,92 +406,3 @@ class MetricsRegistry:
                     )
                 mine.merge(inst)
         return self
-
-
-class _NullInstrument:
-    """Shared do-nothing instrument backing :class:`NullRegistry`."""
-
-    __slots__ = ()
-    name = "null"
-    value = 0
-    count = 0
-    total = 0.0
-    mean = 0.0
-    min = 0.0
-    max = 0.0
-    samples = None
-    dropped_points = 0
-
-    def inc(self, n=1):
-        pass
-
-    def set(self, value):
-        pass
-
-    def add(self, delta):
-        pass
-
-    def observe(self, x):
-        pass
-
-    def time_average(self, until=None):
-        return 0.0
-
-    def quantile(self, q):
-        return 0.0
-
-    def to_dict(self):
-        return {"type": "null"}
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """Disabled registry: every lookup returns the shared no-op instrument.
-
-    Keeping the interface identical lets instrumentation sites hold a
-    registry reference unconditionally; with telemetry off every call
-    degrades to an attribute lookup and a no-op method.
-    """
-
-    enabled = False
-    env = None
-    series = False
-
-    def counter(self, name):
-        return NULL_INSTRUMENT
-
-    def gauge(self, name, initial=0.0):
-        return NULL_INSTRUMENT
-
-    def histogram(self, name, boundaries=DEFAULT_BOUNDARIES):
-        return NULL_INSTRUMENT
-
-    def __len__(self):
-        return 0
-
-    def __iter__(self):
-        return iter(())
-
-    def names(self, prefix=""):
-        return []
-
-    def get(self, name):
-        return None
-
-    def gauges(self):
-        return {}
-
-    def to_dict(self):
-        return {}
-
-    def merge_histograms(self, prefix):
-        return None
-
-    def merge(self, other):
-        return self
-
-
-#: Shared disabled registry (safe: it holds no state).
-NULL_REGISTRY = NullRegistry()

@@ -18,7 +18,7 @@ perturb simulated time.
 
 from __future__ import annotations
 
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.metrics import MetricsRegistry
 from repro.trace.recorder import TraceRecorder
 
 #: Default ring-buffer capacity for instrumented runs.  Big experiments
@@ -83,9 +83,3 @@ def attach(env, capacity=DEFAULT_CAPACITY, series=True):
     tel = Telemetry(env, capacity=capacity, series=series)
     env.telemetry = tel
     return tel
-
-
-def registry_of(env):
-    """The environment's metrics registry, or the shared no-op one."""
-    tel = getattr(env, "telemetry", None)
-    return tel.metrics if tel is not None else NULL_REGISTRY

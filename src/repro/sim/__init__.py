@@ -43,7 +43,7 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.exceptions import SimulationError, StopProcess
-from repro.sim.monitoring import Sampler, Tally, TimeWeightedValue
+from repro.sim.monitoring import Sampler, TimeWeightedValue
 from repro.sim.resources import (
     PreemptiveResource,
     Preempted,
@@ -71,7 +71,6 @@ __all__ = [
     "SimulationError",
     "StopProcess",
     "Store",
-    "Tally",
     "TimeWeightedValue",
     "Timeout",
     "URGENT",

@@ -56,6 +56,11 @@ _BARE = MethodType
 #: Event-type name under which the kernel profiler files bare entries.
 _BARE_TYPE = "Callback"
 
+#: :meth:`Environment._dispatch` limit for "until the agenda empties": a
+#: pop count never reaches it.  An int, not ``None``, because the loop
+#: tests it every event and an int ``!=`` is cheaper than one on None.
+_UNBOUNDED = -1
+
 
 def set_kernel_profiler(profiler):
     """Install (or, with ``None``, clear) the process-global profiler.
@@ -153,9 +158,8 @@ class Environment:
         self._free_timeouts = []
         #: Optional :class:`repro.obs.kernelprof.KernelProfiler`
         #: measuring the *host* cost of this environment's event loop.
-        #: Captured from the process-global slot at construction; the
-        #: loop guards on it, so the unprofiled path pays one attribute
-        #: load per step.
+        #: Captured from the process-global slot at construction;
+        #: ``run`` and ``step`` guard on it once per call.
         self.kernel_profiler = kp = _KERNEL_PROFILER
         if kp is not None:
             kp._register(self)
@@ -326,27 +330,6 @@ class Environment:
                  (self._now, _NORMAL_BASE | next(self._seq), event))
         return event
 
-    def _recycle(self, event):
-        """Return a just-processed event to its free list when safe.
-
-        :meth:`timeout` and :meth:`kick` reuse what lands there.  An
-        event is recycled only when the step machinery holds the sole
-        surviving references: from this frame the count is exactly 3 —
-        the caller's local, this function's argument, and the probe
-        argument (the inlined run loops use 2: loop local + probe).
-        That proves no model code kept a handle, so reuse cannot be
-        observed.  Only exact :class:`Timeout` instances are pooled; it
-        is an always-ok event, so the unhandled-failure check is skipped
-        for it.
-        """
-        if event.__class__ is Timeout:
-            if getrefcount(event) == 3:
-                event._value = None
-                self._free_timeouts.append(event)
-        elif not event._ok and not event._defused:
-            # An unhandled failure: surface it so bugs don't pass silently.
-            raise event._value
-
     def step(self):
         """Process the next scheduled event.
 
@@ -367,95 +350,68 @@ class Environment:
             if k <= 0:
                 return self._step_sampled(kp)
             kp._countdown = k
-        try:
-            self._now, key, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule("no scheduled events") from None
+        self._dispatch(1)
 
-        # Count the event *before* dispatch: the pop already happened,
-        # so a raising callback (or the unhandled-failure re-raise
-        # below) must not leave the counter understating the number of
-        # events the loop consumed.
-        self.events_processed += 1
-        if event.__class__ is _BARE:
-            # A bare entry is its own single callback, so the tail flag
-            # stays True, as for a one-callback event.
-            event(key)
-            return
-        callbacks, event.callbacks = event.callbacks, None
-        # Tail-flag discipline (here and in every loop below): the flag
-        # is True while the callback being dispatched is the last of its
-        # event, which is what licenses :meth:`handoff`'s shortcut.  The
-        # single-callback case — the overwhelming majority — leaves the
-        # flag untouched (it is True between events).
-        n = len(callbacks)
-        if n == 1:
-            callbacks[0](event)
-        elif n:
-            self._tail_ok = False
-            n -= 1
-            for callback in callbacks[:n]:
-                callback(event)
-            self._tail_ok = True
-            callbacks[n](event)
-        self._recycle(event)
+    def _dispatch(self, limit):
+        """The event loop: pop and dispatch up to ``limit`` entries.
 
-    def _run_profiled(self):
-        """The :meth:`run` event loop with the profiler's fast path inlined.
-
-        Semantically one ``while True: self.step()`` loop, but
-        with the common (countdown-only) case written inline and the
-        countdown held in a local.  That removes a per-event method call
-        and the profiler attribute loads — the difference between the
-        <5 % overhead budget holding and not, since the cheapest events
-        run only a few hundred nanoseconds.  The sampled branch stays a
-        method call: its cost is amortised over the sampling gap.
+        ``_UNBOUNDED`` runs until the agenda is empty.  Per-event
+        attribute loads are hoisted into locals.  The event
+        counter is accumulated locally and flushed in the ``finally``
+        (once per consumed event, even when a callback raises); the
+        profiler reads it only between calls.  Handoffs count
+        themselves (see :meth:`handoff`), not toward ``limit``.
         """
-        kp = self.kernel_profiler
         queue = self._queue
         pop = heappop
         refs = getrefcount
         free_timeouts = self._free_timeouts
         timeout_cls = Timeout
         bare = _BARE
-        k = kp._countdown
+        n = 0
         try:
-            while True:
-                k -= 1
-                if k <= 0:
-                    try:
-                        self._step_sampled(kp)
-                    finally:
-                        k = kp._countdown  # the freshly drawn gap
-                    continue
+            while n != limit:
                 try:
                     self._now, key, event = pop(queue)
                 except IndexError:
                     raise EmptySchedule("no scheduled events") from None
-                self.events_processed += 1
+                n += 1
                 cls = event.__class__
                 if cls is bare:
+                    # A bare entry is its own single callback, so the
+                    # tail flag stays True, as for a one-callback event.
                     event(key)
                     continue
                 callbacks, event.callbacks = event.callbacks, None
-                n = len(callbacks)
-                if n == 1:
+                # Tail-flag discipline (here and in the callback-timed
+                # step): the flag is True while the callback being
+                # dispatched is the last of its event, which is what
+                # licenses :meth:`handoff`'s shortcut.  The
+                # single-callback case — the overwhelming majority —
+                # leaves the flag untouched (it is True between events).
+                ncb = len(callbacks)
+                if ncb == 1:
                     callbacks[0](event)
-                elif n:
+                elif ncb:
                     self._tail_ok = False
-                    n -= 1
-                    for callback in callbacks[:n]:
+                    ncb -= 1
+                    for callback in callbacks[:ncb]:
                         callback(event)
                     self._tail_ok = True
-                    callbacks[n](event)
+                    callbacks[ncb](event)
+                # Pool a Timeout for :meth:`timeout` only when this loop
+                # holds the sole references (local + probe argument ==
+                # 2): no model code kept a handle, so reuse cannot be
+                # observed.  A Timeout is always ok: no failure check.
                 if cls is timeout_cls:
                     if refs(event) == 2:
                         event._value = None
                         free_timeouts.append(event)
                 elif not event._ok and not event._defused:
+                    # Unhandled failure: surface it, don't pass silently.
                     raise event._value
         finally:
-            kp._countdown = k
+            self.events_processed += n
 
     def _step_sampled(self, kp):
         """One sampled step: draw the next gap, alternate the streams.
@@ -463,13 +419,13 @@ class Environment:
         All per-type attribution is *sampled*, because even one dict
         operation per event costs a measurable fraction of the cheapest
         whole events.  A sampled event lands in one of two alternating
-        streams — a step-timed stream (pop + dispatch clocked,
-        attributed to the event's type; agenda depth observed) and a
-        callback-timed stream (each callback clocked individually for
-        callsite attribution) — kept separate so clock reads never
-        pollute each other.  Exact totals come from elsewhere: events
-        from ``events_processed`` deltas, pushes from heap accounting,
-        loop time from :meth:`run`'s clocks.
+        streams — a step-timed stream (dispatch clocked, attributed to
+        the event's type; agenda depth observed) and a callback-timed
+        stream (each callback clocked individually for callsite
+        attribution) — kept separate so clock reads never pollute each
+        other.  Exact totals come from elsewhere: events from
+        ``events_processed`` deltas, pushes from heap accounting, loop
+        time from :meth:`run`'s clocks.
         """
         # Deterministic 31-bit LCG (glibc constants — small ints keep
         # the arithmetic cheap): randomised gaps mean a model whose
@@ -488,47 +444,25 @@ class Environment:
         return self._step_callbacks_timed(kp)
 
     def _step_timed(self, kp):
-        """Sampled step: time pop + dispatch, charge the event's type.
-
-        Sampled steps skip the free-list recycle: they are one step in
-        thousands, so the lost reuse is negligible, and leaving it out
-        keeps the timing attribution clean.
-        """
-        depth = len(self._queue)  # pre-pop agenda depth
+        """Sampled step: time one dispatch, charge the event's type."""
+        queue = self._queue
+        depth = len(queue)  # pre-pop agenda depth
         if not depth:
             raise EmptySchedule("no scheduled events")
         if depth > kp.max_depth:
             kp.max_depth = depth
         kp._depth_hist.observe(depth)
-        t0 = perf_counter_ns()
-        self._now, key, event = heappop(self._queue)
-        self.events_processed += 1
-        name, callbacks, arg = self._unpack(event, key)
         kp._sampled += 1
-        rec = kp._types.get(name)
-        if rec is None:
-            rec = kp._types[name] = [0, 0, 0]
-        rec[0] += 1
-        rec[1] += len(callbacks)
+        rec = self._charge(kp, queue[0][2])[0]
+        t0 = perf_counter_ns()
         try:
-            n = len(callbacks)
-            if n == 1:
-                callbacks[0](arg)
-            elif n:
-                self._tail_ok = False
-                n -= 1
-                for callback in callbacks[:n]:
-                    callback(arg)
-                self._tail_ok = True
-                callbacks[n](arg)
+            self._dispatch(1)
         finally:
             # finally: a raising callback still gets its time charged.
             t1 = perf_counter_ns()
             rec[2] += t1 - t0
             if kp.timeline_every and kp._sampled >= kp._next_mark:
                 kp._mark(t1)
-        if arg is event and not event._ok and not event._defused:
-            raise event._value
 
     def _step_callbacks_timed(self, kp):
         """Sampled step: time each callback, charge its callsite."""
@@ -537,13 +471,12 @@ class Environment:
         except IndexError:
             raise EmptySchedule("no scheduled events") from None
         self.events_processed += 1
-        name, callbacks, arg = self._unpack(event, key)
         kp._cb_sampled += 1
-        rec = kp._types.get(name)
-        if rec is None:
-            rec = kp._types[name] = [0, 0, 0]
-        rec[0] += 1
-        rec[1] += len(callbacks)
+        callbacks = self._charge(kp, event)[1]
+        if event.__class__ is _BARE:
+            arg = key
+        else:
+            arg, event.callbacks = event, None
         last = len(callbacks) - 1
         if last > 0:
             self._tail_ok = False
@@ -557,17 +490,20 @@ class Environment:
             raise event._value
 
     @staticmethod
-    def _unpack(event, key):
-        """A popped entry as ``(type name, callbacks, callback argument)``.
+    def _charge(kp, entry):
+        """Count a sampled entry under its type: ``(record, callbacks)``.
 
-        Sampled steps only.  A bare entry is one callback taking its
-        key, filed under the type name ``Callback``; an event retires
-        its callback list, and its callbacks take the event.
-        """
-        if event.__class__ is _BARE:
-            return _BARE_TYPE, (event,), key
-        callbacks, event.callbacks = event.callbacks, None
-        return event.__class__.__name__, callbacks, event
+        A bare entry is its own one callback, filed under ``Callback``."""
+        if entry.__class__ is _BARE:
+            name, callbacks = _BARE_TYPE, (entry,)
+        else:
+            name, callbacks = entry.__class__.__name__, entry.callbacks
+        rec = kp._types.get(name)
+        if rec is None:
+            rec = kp._types[name] = [0, 0, 0]
+        rec[0] += 1
+        rec[1] += len(callbacks)
+        return rec, callbacks
 
     def run(self, until=None):
         """Run the simulation.
@@ -615,9 +551,22 @@ class Environment:
         t0 = perf_counter_ns() if kp is not None else 0
         try:
             if kp is None:
-                self._run_fast()
+                self._dispatch(_UNBOUNDED)
             else:
-                self._run_profiled()
+                # Chunks of ``countdown - 1`` plain pops, each followed
+                # by one sampled step.  A chunk cut short carries
+                # ``countdown - pops`` (pops = events - handoffs), so
+                # the same events are sampled as by :meth:`step`.
+                while True:
+                    k = kp._countdown - 1
+                    if k > 0:
+                        pops = self.events_processed - self.handoffs
+                        try:
+                            self._dispatch(k)
+                        finally:
+                            kp._countdown -= (self.events_processed
+                                              - self.handoffs - pops)
+                    self._step_sampled(kp)
         except _StopSimulation as stop:
             ev = stop.event
             if ev._ok:
@@ -632,55 +581,6 @@ class Environment:
         finally:
             if kp is not None:
                 kp.kernel_ns += perf_counter_ns() - t0
-
-    def _run_fast(self):
-        """The unprofiled :meth:`run` event loop, fully inlined.
-
-        Semantically ``while True: self.step()``, with every per-event
-        attribute load hoisted into a local: the heap, ``heappop``,
-        the free list and the class probes.  The
-        events-processed counter is accumulated locally and flushed in
-        the ``finally`` (exactly once per consumed event, even when a
-        callback raises); nothing reads it mid-loop when the profiler
-        is off — the profiler is its only consumer.
-        """
-        queue = self._queue
-        pop = heappop
-        refs = getrefcount
-        free_timeouts = self._free_timeouts
-        timeout_cls = Timeout
-        bare = _BARE
-        n = 0
-        try:
-            while True:
-                try:
-                    self._now, key, event = pop(queue)
-                except IndexError:
-                    raise EmptySchedule("no scheduled events") from None
-                n += 1
-                cls = event.__class__
-                if cls is bare:
-                    event(key)
-                    continue
-                callbacks, event.callbacks = event.callbacks, None
-                ncb = len(callbacks)
-                if ncb == 1:
-                    callbacks[0](event)
-                elif ncb:
-                    self._tail_ok = False
-                    ncb -= 1
-                    for callback in callbacks[:ncb]:
-                        callback(event)
-                    self._tail_ok = True
-                    callbacks[ncb](event)
-                if cls is timeout_cls:
-                    if refs(event) == 2:
-                        event._value = None
-                        free_timeouts.append(event)
-                elif not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            self.events_processed += n
 
     def run_all(self, max_events=None):
         """Run until the agenda is empty, optionally bounding event count.

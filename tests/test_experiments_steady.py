@@ -11,7 +11,6 @@ from repro.experiments.steady import (
     format_steady_table,
     run_steady_sweep,
     steady_cell,
-    steady_cell_bursty,
 )
 from repro.obs.schemas import read_segments
 from repro.obs.streaming import SCHEMA
@@ -30,11 +29,13 @@ def test_steady_cell_runs_and_summarises():
 def test_steady_cell_rejects_unknown_policy():
     with pytest.raises(ValueError, match="unknown policy"):
         steady_cell("fifo", rate=1.0, duration=5.0)
+    with pytest.raises(ValueError, match="unknown policy"):
+        steady_cell("fifo", rate=1.0, duration=5.0, arrival="bursty")
 
 
 def test_steady_cell_bursty_runs():
-    result = steady_cell_bursty("ts", rate=3.0, duration=30.0, nodes=4,
-                                seed=3, mean_on=1.0, mean_off=1.0)
+    result = steady_cell("ts", rate=3.0, duration=30.0, nodes=4, seed=3,
+                         arrival="bursty", mean_on=1.0, mean_off=1.0)
     assert result.jobs_completed > 20
 
 

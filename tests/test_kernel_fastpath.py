@@ -234,10 +234,10 @@ def _run_stepping_model(method):
 @pytest.mark.parametrize("sample_every", [1, 5, 1000])
 def test_profiled_run_all_matches_run(sample_every):
     """``run_all`` steps through :meth:`Environment.step`, whose
-    profiled branch must give the same trajectory and the same exact
-    event, pop and handoff totals as ``run``'s inlined profiled loop —
-    whether every step is sampled (1), most are (5) or almost none
-    are (1000)."""
+    profiled branch must give the same trajectory, the same exact
+    event, pop and handoff totals, and sample the same events in both
+    streams as ``run``'s chunked profiled loop — whether every step is
+    sampled (1), most are (5) or almost none are (1000)."""
     plain = _run_stepping_model("run")
     with kernel_profile(sample_every=sample_every) as by_run:
         assert _run_stepping_model("run") == plain
@@ -248,6 +248,9 @@ def test_profiled_run_all_matches_run(sample_every):
     for kp in (by_run, by_run_all):
         assert (kp.pops, kp.handoffs) == (events, handoffs)
     assert by_run.pushes == by_run_all.pushes
+    sampled = [(doc["sampled_events"], doc["callback_sampled_events"])
+               for doc in (by_run.document(), by_run_all.document())]
+    assert sampled[0] == sampled[1]
 
 
 @pytest.mark.parametrize("sample_every", [1, 5])

@@ -13,7 +13,6 @@ from repro.core import (
 )
 from repro.experiments.serialization import result_to_dict
 from repro.obs import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -149,23 +148,6 @@ def test_registry_merge_rejects_kind_mismatch():
     b.histogram("x")
     with pytest.raises(TypeError):
         a.merge(b)
-
-
-def test_null_registry_merge_is_inert():
-    reg = MetricsRegistry(env=Environment())
-    reg.counter("jobs").inc()
-    assert NULL_REGISTRY.merge(reg) is NULL_REGISTRY
-    assert len(NULL_REGISTRY) == 0
-
-
-def test_null_registry_is_inert():
-    assert not NULL_REGISTRY.enabled
-    NULL_REGISTRY.counter("x").inc()
-    NULL_REGISTRY.gauge("y").set(3)
-    NULL_REGISTRY.histogram("z").observe(1.0)
-    assert len(NULL_REGISTRY) == 0
-    assert NULL_REGISTRY.to_dict() == {}
-    assert NULL_REGISTRY.counter("x").value == 0
 
 
 # -- satellite: TimeWeightedValue guard ---------------------------------

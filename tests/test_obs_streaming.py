@@ -48,6 +48,13 @@ def test_online_stats_matches_numpy():
     assert st.variance == pytest.approx(float(np.var(xs, ddof=1)), rel=1e-9)
     assert st.min == float(np.min(xs))
     assert st.max == float(np.max(xs))
+    # Empty and single-observation streams: zero moments, never NaN.
+    st = OnlineStats()
+    assert st.n == 0 and st.mean == 0.0 and st.variance == 0.0
+    assert st.sem == 0.0
+    st.push(3.0)
+    assert st.n == 1 and st.mean == 3.0 and st.variance == 0.0
+    assert st.min == st.max == 3.0
 
 
 def test_online_stats_merge_equals_single_stream():
